@@ -28,6 +28,7 @@ from .errors import PovmcalError, ScenarioAbort
 from .scenarios import list_scenarios, scenario_config
 
 EXACT_TOLERANCE = 1e-8  # oracle tolerance used for z-scores in exact mode
+ML_KEYS = frozenset({"fock_cutoff", "max_iters", "min_ll_increase"})  # what an ``ml`` block may set
 
 
 @dataclass
@@ -63,6 +64,9 @@ class ScenarioConfig:
             raise ValueError("ml strategy needs bootstrap_reps >= 2 for error bars")
         if not self.exact_probabilities and self.n_records < 1:
             raise ValueError("n_records must be positive in sampled mode")
+        unknown_ml = set(self.ml) - ML_KEYS
+        if unknown_ml:
+            raise ValueError(f"unknown ml keys: {sorted(unknown_ml)}")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioConfig":
@@ -442,34 +446,62 @@ def _run_averaging_homodyne(config, data, hq, map_r, truth_diag, checks, out):
     }
 
 
-def _run_ml_homodyne(config, data, state, hq, truth_diag, checks, out):
-    ml_cfg = config.ml
-    problem = recon_ml.build_problem_diagonal(
-        data, state, hq, ml_cfg.get("fock_cutoff")
-    )
-    result = recon_ml.maximize(
+def _solve_ml(problem, ml_cfg):
+    return recon_ml.maximize(
         problem,
         max_iters=ml_cfg.get("max_iters", 20000),
         min_ll_increase=ml_cfg.get("min_ll_increase", 1e-8),
     )
+
+
+def _ml_summary(result, outcomes, boot, rep_converged, entries, checks) -> dict:
+    """Report checks and the report block shared by both ML runners.
+
+    ``ml_certified`` holds only if the point estimate and every bootstrap
+    repetition stopped on the likelihood-gap certificate.
+    """
     monotone = bool(np.all(np.diff(result.ll_trace) >= -recon_ml.MONOTONE_SLACK))
+    uncertified = rep_converged.count(False)
     checks["ml_monotone"] = monotone
     checks["ml_constraints"] = bool(
         result.completeness_deviation <= recon_ml.COMPLETENESS_TOL
         and result.min_eigenvalue >= recon_ml.POSITIVITY_TOL
     )
+    checks["bootstrap_failures_ok"] = bool(boot.n_failures == 0)
+    checks["ml_certified"] = bool(result.converged and uncertified == 0)
+    return {
+        "estimator": "ml",
+        "outcomes": [int(n) for n in outcomes],
+        "catch_all_outcome": int(outcomes[-1]),
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "ll_gap": result.ll_gap,
+        "final_log_likelihood": result.final_log_likelihood,
+        "monotone": monotone,
+        "completeness_deviation": result.completeness_deviation,
+        "min_eigenvalue": result.min_eigenvalue,
+        "bootstrap": {
+            "n_repetitions": boot.n_repetitions,
+            "n_failures": boot.n_failures,
+            "uncertified_repetitions": uncertified,
+        },
+        "entries": entries,
+        "coverage": _coverage(entries),
+    }
+
+
+def _run_ml_homodyne(config, data, state, hq, truth_diag, checks, out):
+    ml_cfg = config.ml
+    problem = recon_ml.build_problem_diagonal(data, state, hq, ml_cfg.get("fock_cutoff"))
+    result = _solve_ml(problem, ml_cfg)
     theta = result.povm_hat.diagonal()
     point_outcomes = problem.outcomes
-    init = result.povm_hat  # warm start: the diagonal problem is concave
+    rep_converged: list[bool] = []
 
     def rerun(ds):
         prob = recon_ml.build_problem_diagonal(ds, state, hq, ml_cfg.get("fock_cutoff"))
-        res = recon_ml.maximize(
-            prob,
-            init=recon_ml.transfer_init(init, point_outcomes, prob.outcomes),
-            max_iters=ml_cfg.get("max_iters", 20000),
-            min_ll_increase=ml_cfg.get("min_ll_increase", 1e-8),
-        )
+        res = _solve_ml(prob, ml_cfg)
+        rep_converged.append(res.converged)
         values = res.povm_hat.diagonal()
         by_outcome = dict(zip(prob.outcomes, values))
         rows = [
@@ -479,7 +511,6 @@ def _run_ml_homodyne(config, data, state, hq, truth_diag, checks, out):
 
     boot = stats.bootstrap(data, rerun, config.bootstrap_reps, config.seed)
     stderr = boot.stdev.reshape(theta.shape)
-    checks["bootstrap_failures_ok"] = bool(boot.n_failures == 0)
 
     entries = _diagonal_entries(
         point_outcomes, theta, stderr, truth_diag, config.display_cutoff,
@@ -492,48 +523,21 @@ def _run_ml_homodyne(config, data, state, hq, truth_diag, checks, out):
         out / "ml_reconstruction.csv",
     )
     result.export_json(out / "ml_result.json")
-    return {
-        "estimator": "ml",
-        "outcomes": [int(n) for n in point_outcomes],
-        "catch_all_outcome": int(point_outcomes[-1]),
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "final_log_likelihood": result.final_log_likelihood,
-        "monotone": monotone,
-        "completeness_deviation": result.completeness_deviation,
-        "min_eigenvalue": result.min_eigenvalue,
-        "bootstrap": {"n_repetitions": boot.n_repetitions, "n_failures": boot.n_failures},
-        "entries": entries,
-        "coverage": _coverage(entries),
-    }
+    return _ml_summary(result, point_outcomes, boot, rep_converged, entries, checks)
 
 
 def _run_ml_finite(config, data, state, povm, quorum_obj, checks, out):
     ml_cfg = config.ml
     problem = recon_ml.build_problem_finite(data, state, quorum_obj)
-    result = recon_ml.maximize(
-        problem,
-        max_iters=ml_cfg.get("max_iters", 20000),
-        min_ll_increase=ml_cfg.get("min_ll_increase", 1e-8),
-    )
-    monotone = bool(np.all(np.diff(result.ll_trace) >= -recon_ml.MONOTONE_SLACK))
-    checks["ml_monotone"] = monotone
-    checks["ml_constraints"] = bool(
-        result.completeness_deviation <= recon_ml.COMPLETENESS_TOL
-        and result.min_eigenvalue >= recon_ml.POSITIVITY_TOL
-    )
+    result = _solve_ml(problem, ml_cfg)
     elements = np.stack([np.asarray(p) for p in result.povm_hat.elements])
     point_outcomes = problem.outcomes
-    init = result.povm_hat
+    rep_converged: list[bool] = []
 
     def rerun(ds):
         prob = recon_ml.build_problem_finite(ds, state, quorum_obj)
-        res = recon_ml.maximize(
-            prob,
-            init=recon_ml.transfer_init(init, point_outcomes, prob.outcomes),
-            max_iters=ml_cfg.get("max_iters", 20000),
-            min_ll_increase=ml_cfg.get("min_ll_increase", 1e-8),
-        )
+        res = _solve_ml(prob, ml_cfg)
+        rep_converged.append(res.converged)
         by_outcome = dict(zip(prob.outcomes, res.povm_hat.elements))
         rows = [
             np.asarray(by_outcome[n])
@@ -545,7 +549,6 @@ def _run_ml_finite(config, data, state, povm, quorum_obj, checks, out):
 
     boot = stats.bootstrap(data, rerun, config.bootstrap_reps, config.seed)
     stderr = _combined_stderr(boot, elements.size).reshape(elements.shape)
-    checks["bootstrap_failures_ok"] = bool(boot.n_failures == 0)
 
     entries = _finite_entries(
         point_outcomes, elements, stderr, povm.elements, exact=False,
@@ -553,20 +556,7 @@ def _run_ml_finite(config, data, state, povm, quorum_obj, checks, out):
     )
     _write_finite_csv(entries, out / "ml_reconstruction.csv")
     result.export_json(out / "ml_result.json")
-    return {
-        "estimator": "ml",
-        "outcomes": [int(n) for n in point_outcomes],
-        "catch_all_outcome": int(point_outcomes[-1]),
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "final_log_likelihood": result.final_log_likelihood,
-        "monotone": monotone,
-        "completeness_deviation": result.completeness_deviation,
-        "min_eigenvalue": result.min_eigenvalue,
-        "bootstrap": {"n_repetitions": boot.n_repetitions, "n_failures": boot.n_failures},
-        "entries": entries,
-        "coverage": _coverage(entries),
-    }
+    return _ml_summary(result, point_outcomes, boot, rep_converged, entries, checks)
 
 
 # --- artifact writers --------------------------------------------------------

@@ -9,7 +9,6 @@ a standard operator-frame problem and matches what the sampler records.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,9 +347,8 @@ def homodyne_quorum(
 
 def export_kernels_csv(table: KernelTable, path) -> None:
     """Write the kernel table as CSV with columns x, K_0 ... K_M."""
-    xs = table.grid
+    # the bytes csv.writer gives for these cells, CRLF line ends included
+    row = ",".join(["%.17g"] * (table.n_kernels + 1)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x"] + [f"K_{m}" for m in range(table.n_kernels)])
-        for i, x in enumerate(xs):
-            writer.writerow([f"{x:.17g}"] + [f"{v:.17g}" for v in table.values[:, i]])
+        fh.write(",".join(["x"] + [f"K_{m}" for m in range(table.n_kernels)]) + "\r\n")
+        fh.writelines(row % tuple(r) for r in np.column_stack([table.grid, table.values.T]))

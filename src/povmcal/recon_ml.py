@@ -11,6 +11,17 @@ with column renormalization and the problem is strictly concave, so the
 optimum does not depend on the starting point.  A damped step and a
 projected-gradient fallback guard against the (rare) non-increasing
 proposal, keeping the recorded likelihood trace monotone.
+
+The ascent stops on a certificate rather than on a stalled likelihood.
+With R_n the gradient and Lambda the Hermitian part of sum_n R_n P_n
+(so Tr Lambda = N, the record count), the operator
+Y = Lambda + sum_n (R_n - Lambda)_+ dominates every R_n.  Concavity and
+weak duality then give, for the constrained maximum P*,
+
+    LL(P*) - LL(P) <= sum_n Tr[R_n (P*_n - P_n)] <= Tr Y - N
+                    = sum_n Tr[(R_n - Lambda)_+] =: ll_gap,
+
+a bound in nats that the solver evaluates from the gradient it already has.
 """
 
 from __future__ import annotations
@@ -22,7 +33,12 @@ import numpy as np
 
 from . import qmath
 from .detectors import Povm
-from .errors import CutoffError, PovmInvariantError, UnsupportedStructureError
+from .errors import (
+    CutoffError,
+    NumericalValidityError,
+    PovmInvariantError,
+    UnsupportedStructureError,
+)
 from .quorum import FiniteQuorum, HomodyneQuorum, smeared_fock_pdf_table
 from .sampler import Dataset
 from .states import BipartiteState
@@ -30,6 +46,9 @@ from .states import BipartiteState
 LOG_FLOOR = 1e-300
 
 COMPLETENESS_TOL = 1e-6
+# certified log-likelihood gap (nats) at which the ascent stops; the bound
+# has a float64 floor near 1e-2 on paper-scale problems
+LL_GAP_TOL = 0.1
 POSITIVITY_TOL = -1e-8
 MONOTONE_SLACK = 1e-12
 
@@ -81,6 +100,11 @@ class DiagonalMlProblem:
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         return self.evaluate(theta)[1]
+
+    def ll_gap(self, theta: np.ndarray, grad: np.ndarray) -> float:
+        """Certified bound on LL(optimum) - LL(theta): sum_{n,m} (grad[n,m] - lambda_m)_+."""
+        lagrange = (theta * grad).sum(axis=0)
+        return float(np.clip(grad - lagrange, 0.0, None).sum())
 
     def em_update(self, theta: np.ndarray, gradient: np.ndarray | None = None) -> np.ndarray:
         numerator = theta * (self.gradient(theta) if gradient is None else gradient)
@@ -156,6 +180,12 @@ class FiniteMlProblem:
     def gradient(self, elements: np.ndarray) -> np.ndarray:
         return self.evaluate(elements)[1]
 
+    def ll_gap(self, elements: np.ndarray, grad: np.ndarray) -> float:
+        """Certified bound on LL(optimum) - LL(elements): sum_n Tr[(R_n - Lambda)_+]."""
+        lagrange = np.einsum("nij,njk->ik", grad, elements)
+        lagrange = (lagrange + lagrange.conj().T) / 2.0
+        return float(np.clip(np.linalg.eigvalsh(grad - lagrange), 0.0, None).sum())
+
     def em_update(self, elements: np.ndarray, gradient: np.ndarray | None = None) -> np.ndarray:
         r_ops = self.gradient(elements) if gradient is None else gradient
         g_ops = np.einsum("nij,njk,nkl->nil", r_ops, elements, r_ops)
@@ -188,6 +218,14 @@ class FiniteMlProblem:
         return np.stack([np.asarray(p, dtype=complex) for p in povm.elements])
 
 
+def _outcome_rows(outcome_n: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """Observed outcome labels plus one catch-all label above them, and the
+    row of each record's outcome among those labels."""
+    observed = np.unique(outcome_n)
+    outcomes = tuple(int(n) for n in observed) + (int(observed.max()) + 1,)
+    return outcomes, np.searchsorted(observed, outcome_n)
+
+
 def build_problem_diagonal(
     data: Dataset,
     state: BipartiteState,
@@ -218,19 +256,14 @@ def build_problem_diagonal(
     q = smeared_fock_pdf_table(fock_cutoff, hq.eta_h, data.result)  # (M+1, N)
     responses = (q * weights[:, None]).T.copy()
     if not np.isfinite(responses).all() or responses.min() < 0.0:
-        raise ValueError("response rows must be finite and nonnegative")
+        raise NumericalValidityError("response rows must be finite and nonnegative")
     # records whose response underflowed to zero everywhere carry no
     # information about theta; keeping them would destabilize the updates
     live = responses.sum(axis=1) > 0.0
     responses = responses[live]
 
-    observed = np.unique(data.outcome_n)
-    outcomes = tuple(int(n) for n in observed) + (int(observed.max()) + 1,)
-    index_of = {n: r for r, n in enumerate(outcomes)}
-    outcome_index = np.array(
-        [index_of[int(n)] for n in data.outcome_n[live]], dtype=np.int64
-    )
-    return DiagonalMlProblem(weights, responses, outcome_index, outcomes, fock_cutoff + 1)
+    outcomes, rows = _outcome_rows(data.outcome_n)
+    return DiagonalMlProblem(weights, responses, rows[live], outcomes, fock_cutoff + 1)
 
 
 def build_problem_finite(
@@ -250,11 +283,8 @@ def build_problem_finite(
         # T_km[a, b] = <m| Tr_1-dual |...>: contraction over tomographer indices
         effects[k] = np.einsum("mp,apbq,mq->mab", setting.vectors.conj(), rho4, setting.vectors)
 
-    observed = np.unique(data.outcome_n)
-    outcomes = tuple(int(n) for n in observed) + (int(observed.max()) + 1,)
-    index_of = {n: r for r, n in enumerate(outcomes)}
+    outcomes, rows = _outcome_rows(data.outcome_n)
     counts = np.zeros((len(outcomes), quorum.n_settings, dt))
-    rows = np.array([index_of[int(n)] for n in data.outcome_n], dtype=np.int64)
     np.add.at(counts, (rows, data.setting_k, data.result), 1.0)
     return FiniteMlProblem(effects, counts, outcomes, ds)
 
@@ -264,7 +294,8 @@ class MlResult:
     povm_hat: Povm
     final_log_likelihood: float
     iterations: int
-    converged: bool
+    converged: bool  # ll_gap <= the solve's gap_tol
+    ll_gap: float  # certified bound on LL(optimum) - final_log_likelihood, nats
     ll_trace: np.ndarray
     completeness_deviation: float
     min_eigenvalue: float
@@ -274,6 +305,7 @@ class MlResult:
             "final_log_likelihood": self.final_log_likelihood,
             "iterations": self.iterations,
             "converged": self.converged,
+            "ll_gap": self.ll_gap,
             "ll_trace": self.ll_trace.tolist(),
             "completeness_deviation": self.completeness_deviation,
             "min_eigenvalue": self.min_eigenvalue,
@@ -293,62 +325,23 @@ def log_likelihood(povm: Povm, problem) -> float:
     return problem.log_likelihood(problem.from_povm(povm))
 
 
-def transfer_init(povm: Povm, from_outcomes, to_outcomes) -> Povm:
-    """Map a POVM between outcome sets, preserving the constraints.
-
-    Used to warm-start bootstrap repetitions from the full-data estimate:
-    the problems are concave so the optimum is unchanged, only the number
-    of iterations shrinks.  Elements of shared outcomes carry over; the
-    completeness leftover (dropped outcomes) is split over the new
-    outcomes, or folded into the last (catch-all) element.
-    """
-    by_outcome = dict(zip(from_outcomes, povm.elements))
-    dim = povm.dim
-    new = [n for n in to_outcomes if n not in by_outcome]
-    leftover = np.eye(dim, dtype=complex)
-    for n in to_outcomes:
-        if n in by_outcome:
-            leftover = leftover - by_outcome[n]
-    share = leftover / len(new) if new else None
-    elements = []
-    for n in to_outcomes:
-        if n in by_outcome:
-            elements.append(np.asarray(by_outcome[n], dtype=complex))
-        else:
-            elements.append(share)
-    if not new:
-        elements[-1] = elements[-1] + leftover
-    # clip the float dust so the positivity precondition holds exactly
-    cleaned = []
-    for p in elements:
-        h = (p + p.conj().T) / 2.0
-        w, u = np.linalg.eigh(h)
-        cleaned.append((u * np.clip(w, 0.0, None)) @ u.conj().T)
-    total = sum(cleaned)
-    correction = qmath.hermitian_inverse_sqrt(total)
-    normalized = [correction @ p @ correction for p in cleaned]
-    # blend in a little uniform mass: exact zeros are absorbing under the
-    # multiplicative update, and the new data may need mass where the
-    # source estimate had none
-    eps = 1e-3
-    uniform = np.eye(dim, dtype=complex) / len(to_outcomes)
-    return Povm(tuple((1.0 - eps) * p + eps * uniform for p in normalized))
-
-
 def maximize(
     problem,
     init: Povm | None = None,
     max_iters: int = 20000,
     min_ll_increase: float = 1e-8,
     accelerate: bool = True,
+    gap_tol: float = LL_GAP_TOL,
 ) -> MlResult:
-    """Likelihood ascent to the constrained maximum.
+    """Likelihood ascent until the certified gap ``ll_gap`` is at most ``gap_tol``.
 
     Every accepted iterate satisfies completeness to 1e-6 and positivity
     to -1e-8, and the recorded trace is nondecreasing (1e-12 slack).  If
     the multiplicative proposal fails to improve, damped steps toward it
-    are tried, then a projected-gradient line search; if nothing improves,
-    the current point is reported as converged (stationarity).
+    are tried, then a projected-gradient line search.  The ascent gives up
+    uncertified when that rescue fails, when an iteration gains less than
+    ``min_ll_increase`` or after ``max_iters`` iterations; ``converged``
+    is true only when the certificate holds.
 
     With ``accelerate`` each iteration also tries a squared-extrapolation
     jump along the last two fixed-point steps (stabilized by one more
@@ -370,16 +363,14 @@ def maximize(
 
     ll_current, grad_current = problem.evaluate(current)
     trace = [ll_current]
-    converged = False
+    gap = problem.ll_gap(current, grad_current)
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    while gap > gap_tol and iterations < max_iters:
         proposal = problem.em_update(current, grad_current)
         ll_new, grad_new = problem.evaluate(proposal)
         if ll_new < trace[-1] - MONOTONE_SLACK:
             proposal, ll_new = _rescue_step(problem, current, proposal, trace[-1])
             if proposal is None:
-                converged = True
-                iterations -= 1
                 break
             grad_new = problem.gradient(proposal)
         elif accelerate:
@@ -393,11 +384,12 @@ def maximize(
                 ll_jump, grad_jump = problem.evaluate(jumped)
                 if ll_jump > ll_new:
                     proposal, ll_new, grad_new = jumped, ll_jump, grad_jump
+        iterations += 1
         current, grad_current = proposal, grad_new
         increase = ll_new - trace[-1]
         trace.append(ll_new)
+        gap = problem.ll_gap(current, grad_current)
         if increase < min_ll_increase:
-            converged = True
             break
 
     completeness, min_eig = problem.constraint_violation(current)
@@ -405,7 +397,8 @@ def maximize(
         povm_hat=problem.to_povm(current),
         final_log_likelihood=trace[-1],
         iterations=iterations,
-        converged=converged,
+        converged=gap <= gap_tol,
+        ll_gap=gap,
         ll_trace=np.asarray(trace),
         completeness_deviation=completeness,
         min_eigenvalue=min_eig,

@@ -7,7 +7,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BootstrapError
+from .errors import BootstrapError, PovmcalError
 from .sampler import Dataset
 
 _STREAM_BOOTSTRAP = 2
@@ -35,9 +35,10 @@ def bootstrap(
 
     Records are resampled jointly (n, k, result), preserving their
     correlations.  Each repetition draws from its own deterministic
-    substream, so the report depends only on (data, seed).  Failed
-    repetitions are skipped; more than ``max_failure_fraction`` of them
-    failing aborts the report.
+    substream, so the report depends only on (data, seed).  Repetitions
+    that fail with a toolkit error or a linear-algebra error are skipped;
+    more than ``max_failure_fraction`` of them failing aborts the report.
+    Any other exception is a bug and propagates.
     """
     if n_reps < 2:
         raise ValueError("bootstrap needs at least 2 repetitions")
@@ -49,7 +50,7 @@ def bootstrap(
         indices = rng.integers(0, n, n)
         try:
             results.append(np.asarray(estimator(data.subset(indices)), dtype=float))
-        except Exception:
+        except (PovmcalError, np.linalg.LinAlgError):
             failures += 1
     if failures > max_failure_fraction * n_reps:
         raise BootstrapError(

@@ -27,6 +27,12 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="bogus"):
             ScenarioConfig.from_dict(payload)
 
+    def test_unknown_ml_key_rejected(self):
+        payload = scenario_config("fig4")
+        payload["ml"]["max_iter"] = 100
+        with pytest.raises(ValueError, match="max_iter"):
+            ScenarioConfig.from_dict(payload)
+
     def test_ml_needs_bootstrap(self):
         payload = scenario_config("fig4")
         payload["bootstrap_reps"] = 0
@@ -76,7 +82,12 @@ class TestRun:
                     assert "z" in entry
         assert (tmp_path / "averaging_reconstruction.csv").exists()
         assert (tmp_path / "ml_reconstruction.csv").exists()
-        assert (tmp_path / "ml_result.json").exists()
+        ml = report.reconstructions["ml"]
+        assert report.checks["ml_certified"] and ml["converged"]
+        assert 0.0 <= ml["ll_gap"] <= 0.1
+        assert ml["bootstrap"]["uncertified_repetitions"] == 0
+        result = json.loads((tmp_path / "ml_result.json").read_text())
+        assert result["ll_gap"] == ml["ll_gap"]
 
     def test_abort_on_unfaithful_twin_beam(self, tmp_path):
         cfg = scenario_config("fig2")

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from povmcal.quorum import (
     build_diagonal_kernels,
     compute_dual_set,
     depolarizing_superoperator,
+    KernelTable,
     export_kernels_csv,
     finite_quorum,
     homodyne_quorum,
@@ -260,6 +263,22 @@ class TestDiagonalKernels:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "x,K_0,K_1,K_2,K_3"
         assert len(rows) == 1 + table.values.shape[1]
+
+    def test_csv_export_matches_csv_writer_bytes(self, tmp_path):
+        values = np.array(
+            [[-1.5, 0.0, 5e-324, 1.0 / 3.0], [-0.0, -2.2250738585072014e-308, 1e300, -7.0]]
+        )
+        table = KernelTable(-0.5, 0.25, values, 1, 0.0)
+        path = tmp_path / "kernels.csv"
+        export_kernels_csv(table, path)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "K_0", "K_1"])
+            for i, x in enumerate(table.grid):
+                writer.writerow([f"{x:.17g}"] + [f"{v:.17g}" for v in values[:, i]])
+        assert path.read_bytes() == reference.read_bytes()
+        assert b"\r\n" in path.read_bytes()
 
 
 def test_homodyne_quorum_fields():

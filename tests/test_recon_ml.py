@@ -11,9 +11,9 @@ from povmcal.recon_ml import (
     FiniteMlProblem,
     build_problem_diagonal,
     build_problem_finite,
+    _outcome_rows,
     log_likelihood,
     maximize,
-    transfer_init,
 )
 from povmcal.sampler import Dataset, joint_probability_tables, sample_finite, sample_homodyne_twinbeam
 from povmcal.states import maximally_entangled, twin_beam
@@ -230,25 +230,13 @@ class TestMaximizeDiagonal:
         povm = noisy_photocounter(0.9, 0.3, fock_cutoff=30, env_cutoff=28)
         data = sample_homodyne_twinbeam(state, povm, HQ, 8_000, seed=12)
         problem = build_problem_diagonal(data, state, HQ, fock_cutoff=20)
-        fast = maximize(problem, min_ll_increase=1e-10, max_iters=20000)
-        slow = maximize(problem, min_ll_increase=1e-10, max_iters=20000, accelerate=False)
+        fast = maximize(problem, min_ll_increase=1e-10, max_iters=20000, gap_tol=1e-4)
+        slow = maximize(
+            problem, min_ll_increase=1e-10, max_iters=20000, accelerate=False, gap_tol=1e-4
+        )
         assert fast.converged
         assert fast.final_log_likelihood >= slow.final_log_likelihood - 1e-6
         assert np.all(np.diff(fast.ll_trace) >= -MONOTONE_SLACK)
-
-    def test_transfer_init_valid_and_warm(self):
-        state = twin_beam(0.8, 30)
-        povm = noisy_photocounter(0.9, 0.3, fock_cutoff=30, env_cutoff=28)
-        data = sample_homodyne_twinbeam(state, povm, HQ, 8_000, seed=13)
-        problem = build_problem_diagonal(data, state, HQ, fock_cutoff=20)
-        result = maximize(problem)
-        other = sample_homodyne_twinbeam(state, povm, HQ, 8_000, seed=14)
-        other_problem = build_problem_diagonal(other, state, HQ, fock_cutoff=20)
-        start = transfer_init(result.povm_hat, problem.outcomes, other_problem.outcomes)
-        start.validate(herm_tol=1e-10, eig_tol=-1e-10, completeness_tol=1e-8)
-        warm = maximize(other_problem, init=start, min_ll_increase=1e-10)
-        cold = maximize(other_problem, min_ll_increase=1e-10)
-        assert abs(warm.final_log_likelihood - cold.final_log_likelihood) < 1e-3
 
     def test_small_cutoff_bias_exceeds_error_bars(self):
         # deliberately truncated model: reconstruction error blows past the
@@ -280,3 +268,47 @@ class TestMaximizeDiagonal:
             with np.errstate(divide="ignore"):
                 ratios.append(np.nanmax(err / np.maximum(stderr[idx], 1e-12)))
         assert max(ratios) > 5.0
+
+
+def small_diagonal_problem():
+    state = twin_beam(0.6, 20)
+    povm = noisy_photocounter(0.8, 1.0, fock_cutoff=20, env_cutoff=30)
+    data = sample_homodyne_twinbeam(state, povm, HQ, 5_000, seed=3)
+    return build_problem_diagonal(data, state, HQ, fock_cutoff=14)
+
+
+def small_finite_problem():
+    return make_finite_problem(n_records=5_000, seed=3)[0]
+
+
+@pytest.mark.parametrize("build", [small_diagonal_problem, small_finite_problem])
+class TestCertificate:
+    def test_gap_bounds_distance_to_optimum(self, build):
+        problem = build()
+        # run past the certificate until the likelihood stops moving
+        tight = maximize(problem, gap_tol=0.0, min_ll_increase=1e-12, max_iters=20000)
+        for max_iters in (0, 1, 5, 20, 20000):
+            stopped = maximize(problem, max_iters=max_iters)
+            assert stopped.ll_gap >= 0.0
+            assert tight.final_log_likelihood - stopped.final_log_likelihood <= stopped.ll_gap
+        assert stopped.converged and stopped.ll_gap <= 0.1
+        point = problem.from_povm(stopped.povm_hat)
+        assert problem.ll_gap(point, problem.gradient(point)) == stopped.ll_gap
+
+    def test_iteration_cap_leaves_solve_uncertified(self, build):
+        result = maximize(build(), max_iters=2)
+        assert result.iterations == 2
+        assert result.ll_gap > 0.1 and not result.converged
+
+    def test_give_up_rule_leaves_solve_uncertified(self, build):
+        result = maximize(build(), min_ll_increase=1e12)
+        assert result.iterations == 1
+        assert result.ll_gap > 0.1 and not result.converged
+
+
+def test_outcome_rows_match_label_lookup_with_gaps():
+    labels = np.array([7, 0, 3, 7, 12, 0, 3, 3, 12])
+    outcomes, rows = _outcome_rows(labels)
+    assert outcomes == (0, 3, 7, 12, 13)
+    index_of = {n: r for r, n in enumerate(outcomes)}
+    np.testing.assert_array_equal(rows, [index_of[int(n)] for n in labels])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from povmcal.detectors import projective_povm
-from povmcal.errors import BootstrapError
+from povmcal.errors import BootstrapError, NumericalValidityError
 from povmcal.quorum import pauli_quorum
 from povmcal.sampler import sample_finite
 from povmcal.states import maximally_entangled
@@ -65,17 +65,26 @@ class TestBootstrap:
         def flaky(ds):
             calls["i"] += 1
             if calls["i"] % 10 == 0:
-                raise RuntimeError("boom")
+                raise NumericalValidityError("boom")
             return np.array([float(len(ds))])
 
         report = bootstrap(data, flaky, n_reps=20, seed=6)
         assert report.n_failures == 2
 
         def broken(ds):
-            raise RuntimeError("boom")
+            raise np.linalg.LinAlgError("boom")
 
         with pytest.raises(BootstrapError):
             bootstrap(data, broken, n_reps=10, seed=7)
+
+    def test_programming_errors_propagate(self):
+        data, *_ = make_data(1000, seed=6)
+
+        def buggy(ds):
+            raise TypeError("not a repetition failure")
+
+        with pytest.raises(TypeError):
+            bootstrap(data, buggy, n_reps=10, seed=6)
 
     def test_nan_entries_are_ignored_per_entry(self):
         data, *_ = make_data(1000, seed=8)
