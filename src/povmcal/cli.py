@@ -377,8 +377,10 @@ def _run_averaging_finite(config, data, state, povm, quorum_obj, map_r, noise, c
     if not config.exact_probabilities and config.bootstrap_reps >= 2:
         point_outcomes = estimate.outcomes
 
-        def rerun(ds):
-            ests = recon_avg.estimate_conditioned_finite(ds, quorum_obj, duals, noise)
+        def rerun(indices):
+            ests = recon_avg.estimate_conditioned_finite(
+                data.subset(indices), quorum_obj, duals, noise
+            )
             resampled = recon_avg.recover_povm(ests, map_r)
             by_outcome = dict(zip(resampled.outcomes, resampled.values))
             stack = [
@@ -454,6 +456,25 @@ def _solve_ml(problem, ml_cfg):
     )
 
 
+def _bootstrap_ml(config, data, problem, flatten):
+    """Bootstrap an ML fit by solving the point problem reweighted by each
+    resample's draw counts, so every repetition keeps the point estimate's
+    outcome set (an outcome a resample misses solves to 0).
+
+    Returns the bootstrap report and each repetition's ``converged`` flag.
+    """
+    rep_converged: list[bool] = []
+
+    def rerun(indices):
+        resampled = problem.resample(np.bincount(indices, minlength=len(data)))
+        res = _solve_ml(resampled, config.ml)
+        rep_converged.append(res.converged)
+        return flatten(res.povm_hat)
+
+    boot = stats.bootstrap(data, rerun, config.bootstrap_reps, config.seed)
+    return boot, rep_converged
+
+
 def _ml_summary(result, outcomes, boot, rep_converged, entries, checks) -> dict:
     """Report checks and the report block shared by both ML runners.
 
@@ -496,20 +517,9 @@ def _run_ml_homodyne(config, data, state, hq, truth_diag, checks, out):
     result = _solve_ml(problem, ml_cfg)
     theta = result.povm_hat.diagonal()
     point_outcomes = problem.outcomes
-    rep_converged: list[bool] = []
-
-    def rerun(ds):
-        prob = recon_ml.build_problem_diagonal(ds, state, hq, ml_cfg.get("fock_cutoff"))
-        res = _solve_ml(prob, ml_cfg)
-        rep_converged.append(res.converged)
-        values = res.povm_hat.diagonal()
-        by_outcome = dict(zip(prob.outcomes, values))
-        rows = [
-            by_outcome.get(n, np.full(values.shape[1], np.nan)) for n in point_outcomes
-        ]
-        return np.stack(rows).ravel()
-
-    boot = stats.bootstrap(data, rerun, config.bootstrap_reps, config.seed)
+    boot, rep_converged = _bootstrap_ml(
+        config, data, problem, lambda povm: povm.diagonal().ravel()
+    )
     stderr = boot.stdev.reshape(theta.shape)
 
     entries = _diagonal_entries(
@@ -532,22 +542,9 @@ def _run_ml_finite(config, data, state, povm, quorum_obj, checks, out):
     result = _solve_ml(problem, ml_cfg)
     elements = np.stack([np.asarray(p) for p in result.povm_hat.elements])
     point_outcomes = problem.outcomes
-    rep_converged: list[bool] = []
-
-    def rerun(ds):
-        prob = recon_ml.build_problem_finite(ds, state, quorum_obj)
-        res = _solve_ml(prob, ml_cfg)
-        rep_converged.append(res.converged)
-        by_outcome = dict(zip(prob.outcomes, res.povm_hat.elements))
-        rows = [
-            np.asarray(by_outcome[n])
-            if n in by_outcome
-            else np.full(elements[0].shape, np.nan, dtype=complex)
-            for n in point_outcomes
-        ]
-        return _interleave_complex(np.stack(rows))
-
-    boot = stats.bootstrap(data, rerun, config.bootstrap_reps, config.seed)
+    boot, rep_converged = _bootstrap_ml(
+        config, data, problem, lambda povm: _interleave_complex(np.stack(povm.elements))
+    )
     stderr = _combined_stderr(boot, elements.size).reshape(elements.shape)
 
     entries = _finite_entries(

@@ -27,7 +27,7 @@ a bound in nats that the solver evaluates from the gradient it already has.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,24 +57,58 @@ MONOTONE_SLACK = 1e-12
 class DiagonalMlProblem:
     """Likelihood data for the number-diagonal scenario.
 
-    ``responses[i, m] = w_m q_m(x_i)`` so that a record with outcome n has
-    probability responses[i] . theta[n], with theta[n, m] = <m|P_n|m>.
-    Records are grouped by outcome for vectorized EM sweeps.
+    Each row of ``rows`` is ``w_m q_m(x)`` for one record, so that a record
+    with outcome n has probability row . theta[n], with
+    theta[n, m] = <m|P_n|m>.  Rows are sorted stably by outcome, so each
+    outcome's block is a contiguous view, and row i stands for
+    ``multiplicity[i]`` copies of dataset record ``record[i]``: once each
+    for a dataset, its draw count for a bootstrap resample.
     """
 
     weights: np.ndarray  # (M+1,)
-    responses: np.ndarray  # (N, M+1) nonnegative
-    outcome_index: np.ndarray  # (N,) row of theta per record
+    rows: np.ndarray  # (R, M+1) nonnegative, grouped by outcome
+    row_outcome: np.ndarray  # (R,) nondecreasing row of theta per row
     outcomes: tuple[int, ...]  # outcome labels, catch-all last
     dim: int  # M+1
+    multiplicity: np.ndarray  # (R,) records each row stands for
+    record: np.ndarray  # (R,) dataset index of each row's record
 
     def __post_init__(self):
-        # per-outcome contiguous response blocks: the EM sweep reduces to
-        # two BLAS-2 products per outcome with no per-iteration copies
+        # per-outcome contiguous (rows, multiplicity) views: the sweep reduces
+        # to two BLAS-2 products per outcome with no per-iteration copies
+        bounds = np.searchsorted(self.row_outcome, np.arange(len(self.outcomes) + 1))
         self._blocks = [
-            np.ascontiguousarray(self.responses[self.outcome_index == r])
-            for r in range(len(self.outcomes))
+            (self.rows[lo:hi], self.multiplicity[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
+
+    @property
+    def responses(self) -> np.ndarray:
+        """(N, M+1) response row of every record, grouped by outcome."""
+        if (self.multiplicity == 1.0).all():
+            return self.rows
+        return np.repeat(self.rows, self.multiplicity.astype(np.intp), axis=0)
+
+    @property
+    def outcome_index(self) -> np.ndarray:
+        """(N,) row of theta of every record, in the order of ``responses``."""
+        return np.repeat(self.row_outcome, self.multiplicity.astype(np.intp))
+
+    def resample(self, record_counts: np.ndarray) -> "DiagonalMlProblem":
+        """Problem of the bootstrap resample that draws dataset record i
+        ``record_counts[i]`` times: rows never drawn are dropped, the rest
+        carry their draw counts, and the outcome set stays."""
+        multiplicity = np.asarray(record_counts, dtype=float)[self.record]
+        drawn = np.flatnonzero(multiplicity)
+        return DiagonalMlProblem(
+            self.weights,
+            self.rows[drawn],
+            self.row_outcome[drawn],
+            self.outcomes,
+            self.dim,
+            multiplicity[drawn],
+            self.record[drawn],
+        )
 
     @property
     def n_outcomes(self) -> int:
@@ -83,23 +117,28 @@ class DiagonalMlProblem:
     def initial(self) -> np.ndarray:
         return np.full((self.n_outcomes, self.dim), 1.0 / self.n_outcomes)
 
-    def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """Log-likelihood and its gradient d L / d theta[n, m] in one sweep."""
+    def _sweep(self, theta: np.ndarray, with_ll: bool) -> tuple[float, np.ndarray]:
         ll = 0.0
         grad = np.zeros_like(theta)
-        for r, block in enumerate(self._blocks):
+        for r, (block, w) in enumerate(self._blocks):
             if block.shape[0] == 0:
                 continue
             denom = np.maximum(block @ theta[r], LOG_FLOOR)
-            ll += float(np.log(denom).sum())
-            grad[r] = block.T @ (1.0 / denom)
+            if with_ll:
+                ll += float((w * np.log(denom)).sum())
+            grad[r] = block.T @ (w / denom)
         return ll, grad
+
+    def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """Log-likelihood and its gradient d L / d theta[n, m] in one sweep."""
+        return self._sweep(theta, with_ll=True)
 
     def log_likelihood(self, theta: np.ndarray) -> float:
         return self.evaluate(theta)[0]
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self.evaluate(theta)[1]
+        """The gradient of :meth:`evaluate` without its logarithm pass."""
+        return self._sweep(theta, with_ll=False)[1]
 
     def ll_gap(self, theta: np.ndarray, grad: np.ndarray) -> float:
         """Certified bound on LL(optimum) - LL(theta): sum_{n,m} (grad[n,m] - lambda_m)_+."""
@@ -146,13 +185,21 @@ class FiniteMlProblem:
     Records are compressed into the count tensor counts[n, k, m]; each
     (k, m) pair carries the effective system-side operator
     T_km = Tr_2[(1 (x) |b^k_m><b^k_m|) R], so a record's probability is
-    Tr[P_n T_km].
+    Tr[P_n T_km].  ``cells`` holds each dataset record's flat index into
+    the count tensor, which is all a bootstrap resample needs.
     """
 
     effects: np.ndarray  # (K, d_t, ds, ds)
     counts: np.ndarray  # (n_out, K, d_t)
     outcomes: tuple[int, ...]
     dim: int  # ds
+    cells: np.ndarray | None = None  # (N,) flat counts index per record
+
+    def resample(self, record_counts: np.ndarray) -> "FiniteMlProblem":
+        """Problem of the bootstrap resample that draws dataset record i
+        ``record_counts[i]`` times; the outcome set stays."""
+        counts = np.bincount(self.cells, weights=record_counts, minlength=self.counts.size)
+        return replace(self, counts=counts.reshape(self.counts.shape))
 
     @property
     def n_outcomes(self) -> int:
@@ -192,16 +239,12 @@ class FiniteMlProblem:
         lagrange = g_ops.sum(axis=0)
         correction = qmath.hermitian_inverse_sqrt(lagrange)
         updated = np.einsum("ij,njk,kl->nil", correction, g_ops, correction)
-        return (updated + np.conj(np.transpose(updated, (0, 2, 1)))) / 2.0
+        return (updated + _dagger(updated)) / 2.0
 
     def project(self, elements: np.ndarray) -> np.ndarray:
-        shift = (np.eye(self.dim) - elements.sum(axis=0)) / self.n_outcomes
-        projected = []
-        for p in elements + shift:
-            h = (p + p.conj().T) / 2.0
-            w, u = np.linalg.eigh(h)
-            projected.append((u * np.clip(w, 0.0, None)) @ u.conj().T)
-        return np.stack(projected)
+        shifted = elements + (np.eye(self.dim) - elements.sum(axis=0)) / self.n_outcomes
+        w, u = np.linalg.eigh((shifted + _dagger(shifted)) / 2.0)
+        return (u * np.clip(w, 0.0, None)[:, None, :]) @ _dagger(u)
 
     def constraint_violation(self, elements: np.ndarray) -> tuple[float, float]:
         total = elements.sum(axis=0)
@@ -216,6 +259,10 @@ class FiniteMlProblem:
         if len(povm) != self.n_outcomes or povm.dim != self.dim:
             raise PovmInvariantError("POVM shape does not match the problem")
         return np.stack([np.asarray(p, dtype=complex) for p in povm.elements])
+
+
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().transpose(0, 2, 1)
 
 
 def _outcome_rows(outcome_n: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
@@ -254,16 +301,25 @@ def build_problem_diagonal(
         )
     weights = full_weights[: fock_cutoff + 1]
     q = smeared_fock_pdf_table(fock_cutoff, hq.eta_h, data.result)  # (M+1, N)
-    responses = (q * weights[:, None]).T.copy()
+    responses = (q * weights[:, None]).T
     if not np.isfinite(responses).all() or responses.min() < 0.0:
         raise NumericalValidityError("response rows must be finite and nonnegative")
     # records whose response underflowed to zero everywhere carry no
     # information about theta; keeping them would destabilize the updates
-    live = responses.sum(axis=1) > 0.0
-    responses = responses[live]
+    record = np.flatnonzero(responses.sum(axis=1) > 0.0)
 
     outcomes, rows = _outcome_rows(data.outcome_n)
-    return DiagonalMlProblem(weights, responses, rows[live], outcomes, fock_cutoff + 1)
+    # a stable sort keeps record order within each outcome's block
+    record = record[np.argsort(rows[record], kind="stable")]
+    return DiagonalMlProblem(
+        weights,
+        np.ascontiguousarray(responses[record]),
+        rows[record],
+        outcomes,
+        fock_cutoff + 1,
+        np.ones(record.size),
+        record,
+    )
 
 
 def build_problem_finite(
@@ -284,9 +340,13 @@ def build_problem_finite(
         effects[k] = np.einsum("mp,apbq,mq->mab", setting.vectors.conj(), rho4, setting.vectors)
 
     outcomes, rows = _outcome_rows(data.outcome_n)
-    counts = np.zeros((len(outcomes), quorum.n_settings, dt))
-    np.add.at(counts, (rows, data.setting_k, data.result), 1.0)
-    return FiniteMlProblem(effects, counts, outcomes, ds)
+    shape = (len(outcomes), quorum.n_settings, dt)
+    size = int(np.prod(shape))
+    # the smallest unsigned type that holds every cell keeps the index compact
+    cells = np.ravel_multi_index((rows, data.setting_k, data.result), shape)
+    cells = cells.astype(np.min_scalar_type(size - 1))
+    counts = np.bincount(cells, minlength=size).reshape(shape).astype(float)
+    return FiniteMlProblem(effects, counts, outcomes, ds, cells)
 
 
 @dataclass(frozen=True)
@@ -348,7 +408,7 @@ def maximize(
     multiplicative update, so constraints still hold exactly); the jump is
     taken only when it beats the plain update, which preserves likelihood
     monotonicity while cutting the long geometric tail of the fixed-point
-    convergence by an order of magnitude.
+    convergence by an order of magnitude.  See :func:`_accelerated_step`.
     """
     if init is not None:
         current = problem.from_povm(init)
@@ -374,16 +434,9 @@ def maximize(
                 break
             grad_new = problem.gradient(proposal)
         elif accelerate:
-            step1, ll1, grad1 = proposal, ll_new, grad_new
-            step2 = problem.em_update(step1, grad1)
-            ll2, grad2 = problem.evaluate(step2)
-            if ll2 >= ll1 - MONOTONE_SLACK:
-                proposal, ll_new, grad_new = step2, ll2, grad2
-            jumped = _extrapolated_step(problem, current, step1, step2)
-            if jumped is not None:
-                ll_jump, grad_jump = problem.evaluate(jumped)
-                if ll_jump > ll_new:
-                    proposal, ll_new, grad_new = jumped, ll_jump, grad_jump
+            accelerated = _accelerated_step(problem, current, proposal, ll_new, grad_new)
+            if accelerated is not None:
+                proposal, ll_new, grad_new = accelerated
         iterations += 1
         current, grad_current = proposal, grad_new
         increase = ll_new - trace[-1]
@@ -405,25 +458,60 @@ def maximize(
     )
 
 
-def _extrapolated_step(problem, point0, point1, point2):
-    """Squared-extrapolation proposal from two consecutive fixed-point steps.
+def _accelerated_step(problem, point0, point1, ll1, grad1):
+    """Squared-extrapolation step from two consecutive fixed-point steps.
 
-    Extrapolates along the step direction with the classical steplength
-    -|r|/|v|, re-feasibilizes, and applies one more multiplicative update
-    so the returned point is always an exact constraint-satisfying update
-    output.  Returns None when the steps give no usable curvature.
+    With r the first step, v the change between the two steps and the
+    classical steplength alpha = min(-|r|/|v|, -1), the jump
+    point0 - 2 alpha r + alpha^2 v is re-feasibilized and stabilized by one
+    more multiplicative update, so its output satisfies the constraints
+    exactly.  The first candidate that beats the first step ``point1`` is
+    taken: the jump; then, if the raw jump left the constraint set, the
+    same path at the longest steplength that keeps the raw point feasible;
+    then the second fixed-point step, which only needs not to lose.
+    Returns (point, ll, grad), or None to keep ``point1``.
     """
+    point2 = problem.em_update(point1, grad1)
     r = point1 - point0
     v = (point2 - point1) - r
     v_norm_sq = float(np.real(np.vdot(v, v)))
-    if v_norm_sq <= 0.0:
-        return None
-    alpha = -np.sqrt(float(np.real(np.vdot(r, r))) / v_norm_sq)
-    if alpha > -1.0:
-        alpha = -1.0
-    jumped = point0 - 2.0 * alpha * r + alpha**2 * v
-    feasible = problem.project(jumped)
-    return problem.em_update(feasible)
+    if v_norm_sq > 0.0:
+        alpha = min(-np.sqrt(float(np.real(np.vdot(r, r))) / v_norm_sq), -1.0)
+        raw = point0 - 2.0 * alpha * r + alpha**2 * v
+        jumped = problem.em_update(problem.project(raw))
+        ll_jump, grad_jump = problem.evaluate(jumped)
+        if ll_jump > ll1:
+            return jumped, ll_jump, grad_jump
+        if problem.constraint_violation(raw)[1] < 0.0:
+            edge = _feasible_steplength(problem, point0, r, v, alpha)
+            jumped = problem.em_update(point0 - 2.0 * edge * r + edge**2 * v)
+            ll_jump, grad_jump = problem.evaluate(jumped)
+            if ll_jump > ll1:
+                return jumped, ll_jump, grad_jump
+    ll2, grad2 = problem.evaluate(point2)
+    if ll2 >= ll1 - MONOTONE_SLACK:
+        return point2, ll2, grad2
+    return None
+
+
+def _feasible_steplength(problem, point0, r, v, alpha):
+    """Longest steplength in [alpha, -1] found by bisection at which the
+    extrapolation path point0 - 2 a r + a^2 v stays positive.
+
+    At a = -1 the path is the second fixed-point step, which is feasible;
+    completeness holds all along the path, so only positivity is tested,
+    and no likelihood is evaluated.  30 halvings resolve the steplength to
+    |alpha| / 2^30.
+    """
+    inside, outside = -1.0, alpha
+    for _ in range(30):
+        middle = 0.5 * (inside + outside)
+        point = point0 - 2.0 * middle * r + middle**2 * v
+        if problem.constraint_violation(point)[1] >= 0.0:
+            inside = middle
+        else:
+            outside = middle
+    return inside
 
 
 def _rescue_step(problem, current, proposal, ll_current):

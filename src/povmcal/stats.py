@@ -26,7 +26,7 @@ class BootstrapReport:
 
 def bootstrap(
     data: Dataset,
-    estimator: Callable[[Dataset], np.ndarray],
+    estimator: Callable[[np.ndarray], np.ndarray],
     n_reps: int,
     seed: int,
     max_failure_fraction: float = 0.2,
@@ -34,11 +34,14 @@ def bootstrap(
     """Resample whole records with replacement and re-run the estimator.
 
     Records are resampled jointly (n, k, result), preserving their
-    correlations.  Each repetition draws from its own deterministic
-    substream, so the report depends only on (data, seed).  Repetitions
-    that fail with a toolkit error or a linear-algebra error are skipped;
-    more than ``max_failure_fraction`` of them failing aborts the report.
-    Any other exception is a bug and propagates.
+    correlations: each repetition hands ``estimator`` the drawn record
+    indices, which it applies with ``data.subset(indices)`` or as draw
+    counts ``np.bincount(indices, minlength=len(data))``.  Each repetition
+    draws from its own deterministic substream, so the report depends only
+    on (data, seed).  Repetitions that fail with a toolkit error or a
+    linear-algebra error are skipped; more than ``max_failure_fraction`` of
+    them failing aborts the report.  Any other exception is a bug and
+    propagates.
     """
     if n_reps < 2:
         raise ValueError("bootstrap needs at least 2 repetitions")
@@ -49,7 +52,7 @@ def bootstrap(
         rng = np.random.default_rng([seed, _STREAM_BOOTSTRAP, rep])
         indices = rng.integers(0, n, n)
         try:
-            results.append(np.asarray(estimator(data.subset(indices)), dtype=float))
+            results.append(np.asarray(estimator(indices), dtype=float))
         except (PovmcalError, np.linalg.LinAlgError):
             failures += 1
     if failures > max_failure_fraction * n_reps:
@@ -57,8 +60,8 @@ def bootstrap(
             f"{failures}/{n_reps} bootstrap repetitions failed"
         )
     stacked = np.stack(results)
-    # entries may be NaN for repetitions where an outcome went unobserved;
-    # reduce over the valid repetitions only
+    # entries may be NaN where an estimator has no value for an outcome a
+    # resample missed; reduce over the valid repetitions only
     valid = ~np.isnan(stacked)
     count = valid.sum(axis=0)
     filled = np.where(valid, stacked, 0.0)

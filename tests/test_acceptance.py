@@ -66,7 +66,8 @@ def test_criterion_2_finite_sampled_coverage():
         point = recover_povm(estimate_conditioned_finite(data, quorum, duals), map_r)
         outcomes = point.outcomes
 
-        def entries(ds):
+        def entries(indices):
+            ds = data.subset(indices)
             est = recover_povm(estimate_conditioned_finite(ds, quorum, duals), map_r)
             by_outcome = dict(zip(est.outcomes, est.values))
             stack = np.stack(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from povmcal.cli import build_detector, build_quorum, build_state
 from povmcal.detectors import Povm, noisy_photocounter, random_povm
 from povmcal.errors import CutoffError, PovmInvariantError
 from povmcal.quorum import homodyne_quorum, pauli_quorum, smeared_fock_pdf_table
@@ -11,11 +12,13 @@ from povmcal.recon_ml import (
     FiniteMlProblem,
     build_problem_diagonal,
     build_problem_finite,
+    _feasible_steplength,
     _outcome_rows,
     log_likelihood,
     maximize,
 )
 from povmcal.sampler import Dataset, joint_probability_tables, sample_finite, sample_homodyne_twinbeam
+from povmcal.scenarios import scenario_config
 from povmcal.states import maximally_entangled, twin_beam
 from povmcal.stats import bootstrap
 
@@ -139,15 +142,9 @@ class TestMaximizeFinite:
             for n, p in zip(problem.outcomes, result.povm_hat.elements)
         }
 
-        def rerun(ds):
-            prob = build_problem_finite(ds, state, quorum)
-            res = maximize(prob, init=result.povm_hat if prob.outcomes == problem.outcomes else None)
-            by_outcome = dict(zip(prob.outcomes, res.povm_hat.elements))
-            rows = [
-                np.asarray(by_outcome.get(n, np.full((2, 2), np.nan)))
-                for n in problem.outcomes
-            ]
-            stacked = np.stack(rows)
+        def rerun(indices):
+            res = maximize(problem.resample(np.bincount(indices, minlength=len(data))))
+            stacked = np.stack(res.povm_hat.elements)
             return np.concatenate([np.real(stacked).ravel(), np.imag(stacked).ravel()])
 
         report = bootstrap(data, rerun, n_reps=20, seed=4)
@@ -249,14 +246,10 @@ class TestMaximizeDiagonal:
         theta = result.povm_hat.diagonal()
         truth = povm.diagonal()
 
-        def rerun(ds):
-            prob = build_problem_diagonal(ds, state, HQ, fock_cutoff=2, weight_tail_tol=1.0)
-            start = result.povm_hat if prob.outcomes == problem.outcomes else None
-            res = maximize(prob, init=start, min_ll_increase=1e-7, max_iters=2000)
-            values = res.povm_hat.diagonal()
-            by_outcome = dict(zip(prob.outcomes, values))
-            rows = [by_outcome.get(n, np.full(3, np.nan)) for n in problem.outcomes]
-            return np.stack(rows).ravel()
+        def rerun(indices):
+            resampled = problem.resample(np.bincount(indices, minlength=len(data)))
+            res = maximize(resampled, min_ll_increase=1e-7, max_iters=2000)
+            return res.povm_hat.diagonal().ravel()
 
         report = bootstrap(data, rerun, n_reps=8, seed=10)
         stderr = report.stdev.reshape(theta.shape)
@@ -312,3 +305,145 @@ def test_outcome_rows_match_label_lookup_with_gaps():
     assert outcomes == (0, 3, 7, 12, 13)
     index_of = {n: r for r, n in enumerate(outcomes)}
     np.testing.assert_array_equal(rows, [index_of[int(n)] for n in labels])
+
+
+def _resample_counts(data, seed):
+    indices = np.random.default_rng(seed).integers(0, len(data), len(data))
+    return indices, np.bincount(indices, minlength=len(data))
+
+
+def _rows_by_outcome(problem):
+    """(outcome label, response row) of every record, ordered by outcome, then
+    by the vacuum response (q_0 is even in x, so only +-x pairs tie)."""
+    labels = np.asarray(problem.outcomes)[problem.outcome_index]
+    pairs = np.column_stack([labels, problem.responses])
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+class TestResample:
+    def diagonal(self):
+        state = twin_beam(0.6, 20)
+        povm = noisy_photocounter(0.8, 1.0, fock_cutoff=20, env_cutoff=30)
+        data = sample_homodyne_twinbeam(state, povm, HQ, 5_000, seed=3)
+        return build_problem_diagonal(data, state, HQ, fock_cutoff=14), data, state
+
+    def test_diagonal_matches_rebuilt_subset(self):
+        problem, data, state = self.diagonal()
+        indices, counts = _resample_counts(data, 21)
+        resampled = problem.resample(counts)
+        rebuilt = build_problem_diagonal(data.subset(indices), state, HQ, fock_cutoff=14)
+        assert resampled.outcomes == rebuilt.outcomes == problem.outcomes
+        assert len(resampled.rows) == np.count_nonzero(counts)
+        rng = np.random.default_rng(22)
+        for theta in (resampled.initial(), rng.random((problem.n_outcomes, problem.dim))):
+            theta = theta / theta.sum(axis=0)
+            ll, grad = resampled.evaluate(theta)
+            ll_ref, grad_ref = rebuilt.evaluate(theta)
+            np.testing.assert_allclose(ll, ll_ref, rtol=1e-9)
+            np.testing.assert_allclose(grad, grad_ref, rtol=1e-9)
+
+    def test_diagonal_records_are_the_subsets_as_multisets(self):
+        problem, data, state = self.diagonal()
+        indices, counts = _resample_counts(data, 23)
+        resampled = problem.resample(counts)
+        rebuilt = build_problem_diagonal(data.subset(indices), state, HQ, fock_cutoff=14)
+        assert resampled.responses.shape == rebuilt.responses.shape == (len(data), problem.dim)
+        # the response table is one matrix product, so rows computed in another
+        # batch may differ in the last bit
+        np.testing.assert_allclose(
+            _rows_by_outcome(resampled), _rows_by_outcome(rebuilt), rtol=1e-12, atol=0.0
+        )
+        # unit draw counts give back the point problem's own rows
+        whole = problem.resample(np.ones(len(data), dtype=np.int64))
+        assert whole.responses is whole.rows
+        np.testing.assert_array_equal(whole.rows, problem.rows)
+        np.testing.assert_array_equal(whole.outcome_index, problem.outcome_index)
+
+    def test_unit_weight_sweep_is_bit_identical_to_plain_sweep(self):
+        problem, *_ = self.diagonal()
+        theta = np.random.default_rng(24).random((problem.n_outcomes, problem.dim))
+        theta /= theta.sum(axis=0)
+        ll, grad = problem.evaluate(theta)
+        expected_ll, expected_grad = 0.0, np.zeros_like(theta)
+        for r in range(problem.n_outcomes):
+            block = problem.rows[problem.row_outcome == r]
+            if block.shape[0]:
+                denom = np.maximum(block @ theta[r], 1e-300)
+                expected_ll += float(np.log(denom).sum())
+                expected_grad[r] = block.T @ (1.0 / denom)
+        assert ll == expected_ll
+        np.testing.assert_array_equal(grad, expected_grad)
+        np.testing.assert_array_equal(problem.gradient(theta), grad)
+
+    def test_finite_count_tensor_matches_rebuilt_subset(self):
+        problem, povm, data, state, quorum = make_finite_problem(n_records=20_000, seed=7)
+        indices, counts = _resample_counts(data, 25)
+        resampled = problem.resample(counts)
+        rebuilt = build_problem_finite(data.subset(indices), state, quorum)
+        assert rebuilt.outcomes == resampled.outcomes
+        np.testing.assert_array_equal(resampled.counts, rebuilt.counts)
+        assert problem.cells.itemsize == 1
+
+    @pytest.mark.parametrize("kind", ["diagonal", "finite"])
+    def test_missing_outcome_solves_to_zero(self, kind):
+        if kind == "diagonal":
+            problem, data, _ = self.diagonal()
+        else:
+            problem, _, data, *_ = make_finite_problem(n_records=5_000, seed=8)
+        labels = np.asarray(problem.outcomes[:-1])
+        dropped = labels[1]
+        counts = np.where(data.outcome_n == dropped, 0, 2)
+        result = maximize(problem.resample(counts))
+        values = np.stack([np.asarray(p) for p in result.povm_hat.elements])
+        row = problem.outcomes.index(int(dropped))
+        assert result.converged
+        assert np.all(np.isfinite(values))
+        assert np.all(values[row] == 0.0)
+
+
+class TestAcceleratedStep:
+    def test_fallback_steplength_keeps_path_feasible(self):
+        problem = small_diagonal_problem()
+        point0 = problem.em_update(problem.initial())
+        point1 = problem.em_update(point0)
+        point2 = problem.em_update(point1)
+        r = point1 - point0
+        v = (point2 - point1) - r
+        alpha = -1e4
+        assert (point0 - 2.0 * alpha * r + alpha**2 * v).min() < 0.0
+        edge = _feasible_steplength(problem, point0, r, v, alpha)
+        assert alpha < edge < -1.0
+        path = point0 - 2.0 * edge * r + edge**2 * v
+        completeness, min_entry = problem.constraint_violation(path)
+        assert completeness <= COMPLETENESS_TOL and min_entry >= 0.0
+        stabilized = problem.em_update(path)
+        completeness, min_entry = problem.constraint_violation(stabilized)
+        assert completeness <= COMPLETENESS_TOL and min_entry >= 0.0
+
+    def test_finite_projection_matches_per_outcome_eigh(self):
+        problem = small_finite_problem()
+        shape = (problem.n_outcomes, 2, 2)
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            shifted = x + (np.eye(2) - x.sum(axis=0)) / problem.n_outcomes
+            expected = []
+            for p in shifted:
+                w, u = np.linalg.eigh((p + p.conj().T) / 2.0)
+                expected.append((u * np.clip(w, 0.0, None)) @ u.conj().T)
+            np.testing.assert_array_equal(problem.project(x), np.stack(expected))
+
+
+def test_fig4_seed_1_point_estimate_certifies_quickly():
+    # data seed 1 of the fig4 scenario needed 1581 iterations when the second
+    # fixed-point step was always evaluated and the jump stalled at the
+    # positivity boundary
+    cfg = dict(scenario_config("fig4"), seed=1)
+    state = build_state(cfg["state"])
+    povm = build_detector(cfg["detector"], state)
+    hq = build_quorum(cfg["quorum"], state.dim_tomo)
+    data = sample_homodyne_twinbeam(state, povm, hq, cfg["n_records"], 1, cfg["name"])
+    problem = build_problem_diagonal(data, state, hq, cfg["ml"]["fock_cutoff"])
+    result = maximize(problem)
+    assert result.converged
+    assert result.iterations <= 500

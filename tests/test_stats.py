@@ -9,9 +9,9 @@ from povmcal.states import maximally_entangled
 from povmcal.stats import bootstrap, compare_mse
 
 
-def p_hat_estimator(n_outcomes):
-    def estimate(ds):
-        return np.bincount(ds.outcome_n, minlength=n_outcomes) / len(ds)
+def p_hat_estimator(data, n_outcomes):
+    def estimate(indices):
+        return np.bincount(data.outcome_n[indices], minlength=n_outcomes) / len(indices)
 
     return estimate
 
@@ -25,14 +25,14 @@ def make_data(n_records=50_000, seed=0):
 class TestBootstrap:
     def test_constant_estimator_zero_spread(self):
         data, *_ = make_data(1000)
-        report = bootstrap(data, lambda ds: np.array([1.5, -2.0]), n_reps=10, seed=0)
+        report = bootstrap(data, lambda indices: np.array([1.5, -2.0]), n_reps=10, seed=0)
         np.testing.assert_array_equal(report.stdev, [0.0, 0.0])
         np.testing.assert_array_equal(report.mean, [1.5, -2.0])
 
     def test_matches_binomial_stderr(self):
         n_records = 50_000
         data, povm, state = make_data(n_records, seed=1)
-        report = bootstrap(data, p_hat_estimator(2), n_reps=60, seed=1)
+        report = bootstrap(data, p_hat_estimator(data, 2), n_reps=60, seed=1)
         p = data.counts_by_n / n_records
         binomial = np.sqrt(p * (1 - p) / n_records)
         for b, s in zip(report.stdev, binomial):
@@ -41,11 +41,11 @@ class TestBootstrap:
     @pytest.mark.properties
     def test_deterministic_per_seed(self):
         data, *_ = make_data(5_000, seed=2)
-        a = bootstrap(data, p_hat_estimator(2), n_reps=15, seed=3)
-        b = bootstrap(data, p_hat_estimator(2), n_reps=15, seed=3)
+        a = bootstrap(data, p_hat_estimator(data, 2), n_reps=15, seed=3)
+        b = bootstrap(data, p_hat_estimator(data, 2), n_reps=15, seed=3)
         np.testing.assert_array_equal(a.stdev, b.stdev)
         np.testing.assert_array_equal(a.mean, b.mean)
-        c = bootstrap(data, p_hat_estimator(2), n_reps=15, seed=4)
+        c = bootstrap(data, p_hat_estimator(data, 2), n_reps=15, seed=4)
         assert np.any(a.stdev != c.stdev)
 
     @pytest.mark.properties
@@ -53,7 +53,7 @@ class TestBootstrap:
         medians = []
         for n_records in (10_000, 40_000):
             data, *_ = make_data(n_records, seed=5)
-            report = bootstrap(data, p_hat_estimator(2), n_reps=40, seed=5)
+            report = bootstrap(data, p_hat_estimator(data, 2), n_reps=40, seed=5)
             medians.append(np.median(report.stdev))
         ratio = medians[0] / medians[1]
         assert 2.0 * 0.7 <= ratio <= 2.0 * 1.3
@@ -62,16 +62,16 @@ class TestBootstrap:
         data, *_ = make_data(1000, seed=6)
         calls = {"i": 0}
 
-        def flaky(ds):
+        def flaky(indices):
             calls["i"] += 1
             if calls["i"] % 10 == 0:
                 raise NumericalValidityError("boom")
-            return np.array([float(len(ds))])
+            return np.array([float(len(indices))])
 
         report = bootstrap(data, flaky, n_reps=20, seed=6)
         assert report.n_failures == 2
 
-        def broken(ds):
+        def broken(indices):
             raise np.linalg.LinAlgError("boom")
 
         with pytest.raises(BootstrapError):
@@ -80,7 +80,7 @@ class TestBootstrap:
     def test_programming_errors_propagate(self):
         data, *_ = make_data(1000, seed=6)
 
-        def buggy(ds):
+        def buggy(indices):
             raise TypeError("not a repetition failure")
 
         with pytest.raises(TypeError):
@@ -90,7 +90,7 @@ class TestBootstrap:
         data, *_ = make_data(1000, seed=8)
         calls = {"i": 0}
 
-        def sometimes_nan(ds):
+        def sometimes_nan(indices):
             calls["i"] += 1
             v = float(calls["i"])
             return np.array([v, np.nan if calls["i"] % 2 else v])
@@ -102,7 +102,7 @@ class TestBootstrap:
     def test_needs_two_reps(self):
         data, *_ = make_data(100, seed=9)
         with pytest.raises(ValueError):
-            bootstrap(data, p_hat_estimator(2), n_reps=1, seed=0)
+            bootstrap(data, p_hat_estimator(data, 2), n_reps=1, seed=0)
 
 
 class TestCompareMse:
