@@ -17,7 +17,6 @@ from .detectors import (
 from .qmath import (
     ComplexOperator,
     HermitianCheckReport,
-    fock_quadrature_amplitude,
     fock_quadrature_table,
     partial_trace_first,
     positivity_report,
@@ -31,7 +30,6 @@ from .quorum import (
     build_diagonal_kernels,
     compute_dual_set,
     homodyne_quorum,
-    invert_noise_map,
     noise_map_from_superoperator,
     pauli_quorum,
     smeared_fock_pdf,
@@ -50,13 +48,12 @@ from .recon_ml import (
     log_likelihood,
     maximize,
 )
-from .sampler import Dataset, JointRecord, sample_finite, sample_homodyne_twinbeam
+from .sampler import Dataset, sample_finite, sample_homodyne_twinbeam
 from .states import (
     BipartiteState,
     MapROperator,
     build_diagonal_map_R,
     build_map_R,
-    invert_map_R,
     maximally_entangled,
     twin_beam,
 )
@@ -74,7 +71,6 @@ __all__ = [
     "FiniteQuorum",
     "HermitianCheckReport",
     "HomodyneQuorum",
-    "JointRecord",
     "MapROperator",
     "MlResult",
     "NoiseMap",
@@ -91,11 +87,8 @@ __all__ = [
     "compute_dual_set",
     "estimate_conditioned_finite",
     "estimate_conditioned_homodyne",
-    "fock_quadrature_amplitude",
     "fock_quadrature_table",
     "homodyne_quorum",
-    "invert_map_R",
-    "invert_noise_map",
     "log_likelihood",
     "maximally_entangled",
     "maximize",

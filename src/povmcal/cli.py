@@ -67,6 +67,13 @@ class ScenarioConfig:
         unknown_ml = set(self.ml) - ML_KEYS
         if unknown_ml:
             raise ValueError(f"unknown ml keys: {sorted(unknown_ml)}")
+        homodyne = self.quorum["kind"] == "homodyne"
+        if homodyne and self.exact_probabilities:
+            raise ValueError("exact-probability mode needs a finite quorum")
+        if homodyne and self.noise is not None:
+            raise ValueError("tomographer noise is supported with a finite quorum only")
+        if not homodyne and self.display_cutoff is not None:
+            raise ValueError("display_cutoff applies to a homodyne quorum only")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioConfig":
@@ -162,6 +169,30 @@ def build_noise(params: dict | None, dim: int) -> quorum_mod.NoiseMap | None:
 # --- report assembly --------------------------------------------------------
 
 
+@dataclass
+class _Fit:
+    """One estimator's POVM estimate: ``values`` is (n, M+1) real for the
+    number-diagonal reconstruction or (n, d, d) complex for the full one,
+    and ``stderr`` is real with the same shape."""
+
+    outcomes: tuple[int, ...]
+    values: np.ndarray
+    stderr: np.ndarray
+    catch_all: int | None
+    checks: dict
+    report: dict
+
+
+def _layout(complex_values: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Index keys and value-part suffixes of the entry rows."""
+    return (("i", "j"), ("_re", "_im")) if complex_values else (("m",), ("",))
+
+
+def _parts(key: str, x, suffixes: tuple[str, ...]) -> dict:
+    """``{key: x}`` for a real entry, ``{key_re, key_im}`` for a complex one."""
+    return {key + s: float(part) for s, part in zip(suffixes, (np.real(x), np.imag(x)))}
+
+
 def _zscore(abs_error: float, stderr: float | None, exact: bool) -> float:
     if exact:
         return abs_error / EXACT_TOLERANCE
@@ -170,50 +201,31 @@ def _zscore(abs_error: float, stderr: float | None, exact: bool) -> float:
     return abs_error / stderr
 
 
-def _finite_entries(outcomes, values, stderr, truth, exact, catch_all=None):
-    """Entry rows (n, i, j, value, stderr, theory, z) for full-matrix estimates."""
+def _entries(fit: _Fit, truth: np.ndarray, display: int | None, exact: bool) -> list[dict]:
+    """Entry rows (n, index, value, stderr, theory, z), the index being m
+    for diagonal estimates and (i, j) for full ones; with ``display`` only
+    outcomes and indices up to it."""
+    keys, suffixes = _layout(np.iscomplexobj(fit.values))
+    shape = fit.values.shape[1:]
+    if display is not None:
+        shape = tuple(min(size, display + 1) for size in shape)
     entries = []
-    for idx, n in enumerate(outcomes):
-        is_catch_all = catch_all is not None and n == catch_all
-        for i in range(values.shape[1]):
-            for j in range(values.shape[2]):
-                row = {
-                    "n": int(n),
-                    "i": i,
-                    "j": j,
-                    "value_re": float(np.real(values[idx, i, j])),
-                    "value_im": float(np.imag(values[idx, i, j])),
-                    "stderr": None if stderr is None else float(stderr[idx, i, j]),
-                }
-                if not is_catch_all and n < len(truth):
-                    t = truth[n][i, j]
-                    row["theory_re"] = float(np.real(t))
-                    row["theory_im"] = float(np.imag(t))
-                    diff = abs(complex(values[idx, i, j]) - complex(t))
-                    row["z"] = _zscore(diff, row["stderr"], exact)
-                entries.append(row)
-    return entries
-
-
-def _diagonal_entries(outcomes, values, stderr, truth_diag, display, catch_all=None):
-    """Entry rows (n, m, value, stderr, theory, z) for diagonal estimates."""
-    entries = []
-    max_m = values.shape[1] - 1 if display is None else min(display, values.shape[1] - 1)
-    for idx, n in enumerate(outcomes):
+    for idx, n in enumerate(fit.outcomes):
         if display is not None and n > display:
             continue
-        is_catch_all = catch_all is not None and n == catch_all
-        for m in range(max_m + 1):
+        for index in np.ndindex(shape):
+            value = fit.values[idx][index]
             row = {
                 "n": int(n),
-                "m": m,
-                "value": float(values[idx, m]),
-                "stderr": None if stderr is None else float(stderr[idx, m]),
+                **dict(zip(keys, index)),
+                **_parts("value", value, suffixes),
+                "stderr": float(fit.stderr[idx][index]),
             }
-            if not is_catch_all and n < truth_diag.shape[0]:
-                t = float(truth_diag[n, m])
-                row["theory"] = t
-                row["z"] = _zscore(abs(row["value"] - t), row["stderr"], exact=False)
+            if n != fit.catch_all and n < len(truth):
+                theory = truth[n][index]
+                row.update(_parts("theory", theory, suffixes))
+                diff = abs(complex(value) - complex(theory))
+                row["z"] = _zscore(diff, row["stderr"], exact)
             entries.append(row)
     return entries
 
@@ -231,14 +243,21 @@ def _coverage(entries) -> dict:
     }
 
 
-def _interleave_complex(matrix_stack: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.real(matrix_stack).ravel(), np.imag(matrix_stack).ravel()])
+def _flatten(values: np.ndarray) -> np.ndarray:
+    """Real vector of an estimate: its entries, or their real then imaginary parts."""
+    if np.iscomplexobj(values):
+        return np.concatenate([np.real(values).ravel(), np.imag(values).ravel()])
+    return values.ravel()
 
 
-def _combined_stderr(report: stats.BootstrapReport, n_values: int) -> np.ndarray:
-    """Recombine interleaved re/im bootstrap spreads into per-entry sigmas."""
-    var = report.stdev**2
-    return np.sqrt(var[:n_values] + var[n_values:])
+def _bootstrap_stderr(boot: stats.BootstrapReport, shape: tuple[int, ...]) -> np.ndarray:
+    """Per-entry sigmas from the spread of :func:`_flatten` vectors; the
+    real and imaginary spreads of a complex entry add in quadrature."""
+    size = int(np.prod(shape))
+    if boot.stdev.size == size:
+        return boot.stdev.reshape(shape)
+    var = boot.stdev**2
+    return np.sqrt(var[:size] + var[size:]).reshape(shape)
 
 
 # --- the run operation -------------------------------------------------------
@@ -259,8 +278,6 @@ def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunRepo
     quorum_obj = build_quorum(config.quorum, state.dim_tomo)
     homodyne = isinstance(quorum_obj, quorum_mod.HomodyneQuorum)
 
-    if homodyne and config.exact_probabilities:
-        raise ValueError("exact-probability mode needs a finite quorum")
     if homodyne:
         map_r = states.build_diagonal_map_R(
             state, cutoff=quorum_obj.fock_cutoff, svd_tolerance=config.svd_tolerance
@@ -283,27 +300,14 @@ def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunRepo
         )
     t_setup = time.perf_counter()
 
-    reconstructions: dict = {}
-    checks: dict = {"faithful": True}
-    truth_diag = povm.diagonal() if homodyne else None
-
-    if homodyne:
-        data = sampler.sample_homodyne_twinbeam(
-            state, povm, quorum_obj, config.n_records, config.seed, config.name
-        )
-    elif not config.exact_probabilities:
-        noise = build_noise(config.noise, state.dim_tomo)
-        sample_state = states.apply_noise_tomo_side(state, noise) if noise else state
-        data = sampler.sample_finite(
-            sample_state, povm, quorum_obj, config.n_records, config.seed, config.name
-        )
-    else:
-        noise = build_noise(config.noise, state.dim_tomo)
-        sample_state = states.apply_noise_tomo_side(state, noise) if noise else state
+    noise = build_noise(config.noise, state.dim_tomo)
+    sample_state = states.apply_noise_tomo_side(state, noise) if noise else state
+    if config.exact_probabilities:
         data = None
-    t_sample = time.perf_counter()
-
-    if data is not None:
+        dataset_summary = {"exact_probabilities": True}
+    else:
+        sample = sampler.sample_homodyne_twinbeam if homodyne else sampler.sample_finite
+        data = sample(sample_state, povm, quorum_obj, config.n_records, config.seed, config.name)
         dataset_summary = {
             "n_records": len(data),
             "seed": data.seed,
@@ -312,27 +316,42 @@ def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunRepo
         if config.save_dataset:
             sampler.export_csv(data, out / "dataset.csv")
             sampler.export_sidecar(data, out / "dataset.json", {"scenario": config.name})
-    else:
-        dataset_summary = {"exact_probabilities": True}
+    t_sample = time.perf_counter()
 
-    if config.strategy in ("averaging", "both"):
-        if homodyne:
-            reconstructions["averaging"] = _run_averaging_homodyne(
-                config, data, quorum_obj, map_r, truth_diag, checks, out
-            )
+    reconstructions: dict = {}
+    checks: dict = {"faithful": True}
+    truth = povm.diagonal() if homodyne else np.stack(povm.elements)
+    exact = config.exact_probabilities
+    for label in ("averaging", "ml"):
+        if config.strategy not in (label, "both"):
+            continue
+        if label == "averaging":
+            fit = _fit_averaging(config, data, sample_state, povm, quorum_obj, map_r, noise)
         else:
-            reconstructions["averaging"] = _run_averaging_finite(
-                config, data, sample_state, povm, quorum_obj, map_r, noise, checks, out
+            fit = _fit_ml(config, data, sample_state, quorum_obj, out)
+        checks.update(fit.checks)
+        _write_csv(
+            out / f"{label}_reconstruction.csv",
+            _columns(np.iscomplexobj(fit.values)),
+            _entries(fit, truth, None, exact),
+        )
+        entries = _entries(fit, truth, config.display_cutoff, exact)
+        coverage = _coverage(entries)
+        if exact:
+            max_err = max(
+                abs(complex(value) - complex(theory))
+                for idx, n in enumerate(fit.outcomes)
+                for value, theory in zip(fit.values[idx].ravel(), truth[n].ravel())
             )
-    if config.strategy in ("ml", "both"):
-        if homodyne:
-            reconstructions["ml"] = _run_ml_homodyne(
-                config, data, state, quorum_obj, truth_diag, checks, out
-            )
-        else:
-            reconstructions["ml"] = _run_ml_finite(
-                config, data, sample_state, povm, quorum_obj, checks, out
-            )
+            checks["oracle_error_ok"] = bool(max_err < EXACT_TOLERANCE)
+            coverage["max_abs_error"] = max_err
+        reconstructions[label] = {
+            "estimator": label,
+            "outcomes": [int(n) for n in fit.outcomes],
+            **fit.report,
+            "entries": entries,
+            "coverage": coverage,
+        }
     t_recon = time.perf_counter()
 
     if homodyne:
@@ -363,19 +382,31 @@ def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunRepo
     return report
 
 
-def _run_averaging_finite(config, data, state, povm, quorum_obj, map_r, noise, checks, out):
-    duals = quorum_mod.compute_dual_set(quorum_obj)
-    if config.exact_probabilities:
-        estimates = recon_avg.estimate_conditioned_finite_exact(
-            state, povm, quorum_obj, duals, noise
-        )
+def _fit_averaging(config, data, state, povm, quorum_obj, map_r, noise) -> _Fit:
+    """Linear averaging through the inverted input map.
+
+    Error bars are analytic, except for sampled finite data with
+    ``bootstrap_reps`` >= 2, whose bars come from the bootstrap.
+    """
+    checks, report = {}, {}
+    homodyne = isinstance(quorum_obj, quorum_mod.HomodyneQuorum)
+    if homodyne:
+        estimates, clipped_fraction = recon_avg.estimate_conditioned_homodyne(data, quorum_obj)
+        checks["clipping_ok"] = bool(clipped_fraction <= 1e-3)
+        report["clipped_fraction"] = clipped_fraction
     else:
-        estimates = recon_avg.estimate_conditioned_finite(data, quorum_obj, duals, noise)
+        duals = quorum_mod.compute_dual_set(quorum_obj)
+        if config.exact_probabilities:
+            estimates = recon_avg.estimate_conditioned_finite_exact(
+                state, povm, quorum_obj, duals, noise
+            )
+        else:
+            estimates = recon_avg.estimate_conditioned_finite(data, quorum_obj, duals, noise)
     estimate = recon_avg.recover_povm(estimates, map_r)
 
     stderr = estimate.stderr
-    if not config.exact_probabilities and config.bootstrap_reps >= 2:
-        point_outcomes = estimate.outcomes
+    if not homodyne and not config.exact_probabilities and config.bootstrap_reps >= 2:
+        missing = np.full_like(estimate.values[0], np.nan)
 
         def rerun(indices):
             ests = recon_avg.estimate_conditioned_finite(
@@ -383,69 +414,18 @@ def _run_averaging_finite(config, data, state, povm, quorum_obj, map_r, noise, c
             )
             resampled = recon_avg.recover_povm(ests, map_r)
             by_outcome = dict(zip(resampled.outcomes, resampled.values))
-            stack = [
-                by_outcome.get(n, np.full_like(estimate.values[0], np.nan))
-                for n in point_outcomes
-            ]
-            return _interleave_complex(np.stack(stack))
+            return _flatten(np.stack([by_outcome.get(n, missing) for n in estimate.outcomes]))
 
         boot = stats.bootstrap(data, rerun, config.bootstrap_reps, config.seed)
-        stderr = _combined_stderr(boot, estimate.values.size).reshape(estimate.values.shape)
+        stderr = _bootstrap_stderr(boot, estimate.values.shape)
 
-    entries = _finite_entries(
-        estimate.outcomes,
-        estimate.values,
-        stderr,
-        povm.elements,
-        config.exact_probabilities,
+    report.update(
+        unobserved_outcomes=sorted(set(range(len(povm))) - set(estimate.outcomes)),
+        p_hat=estimate.p_hat.tolist(),
+        completeness_deviation=estimate.completeness_deviation,
+        min_eigenvalue=estimate.min_eigenvalue,
     )
-    coverage = _coverage(entries)
-    unobserved = sorted(set(range(len(povm))) - set(estimate.outcomes))
-    if config.exact_probabilities:
-        max_err = max(
-            abs(complex(e["value_re"], e["value_im"]) - complex(e["theory_re"], e["theory_im"]))
-            for e in entries
-            if "theory_re" in e
-        )
-        checks["oracle_error_ok"] = bool(max_err < EXACT_TOLERANCE)
-        coverage["max_abs_error"] = max_err
-    _write_finite_csv(entries, out / "averaging_reconstruction.csv")
-    return {
-        "estimator": "averaging",
-        "outcomes": [int(n) for n in estimate.outcomes],
-        "unobserved_outcomes": unobserved,
-        "p_hat": estimate.p_hat.tolist(),
-        "completeness_deviation": estimate.completeness_deviation,
-        "min_eigenvalue": estimate.min_eigenvalue,
-        "entries": entries,
-        "coverage": coverage,
-    }
-
-
-def _run_averaging_homodyne(config, data, hq, map_r, truth_diag, checks, out):
-    estimates, clipped_fraction = recon_avg.estimate_conditioned_homodyne(data, hq)
-    estimate = recon_avg.recover_povm(estimates, map_r)
-    checks["clipping_ok"] = bool(clipped_fraction <= 1e-3)
-
-    entries = _diagonal_entries(
-        estimate.outcomes, estimate.values, estimate.stderr, truth_diag, config.display_cutoff
-    )
-    _write_diagonal_csv(
-        _diagonal_entries(estimate.outcomes, estimate.values, estimate.stderr, truth_diag, None),
-        out / "averaging_reconstruction.csv",
-    )
-    unobserved = sorted(set(range(truth_diag.shape[0])) - set(estimate.outcomes))
-    return {
-        "estimator": "averaging",
-        "outcomes": [int(n) for n in estimate.outcomes],
-        "unobserved_outcomes": unobserved,
-        "p_hat": estimate.p_hat.tolist(),
-        "completeness_deviation": estimate.completeness_deviation,
-        "min_eigenvalue": estimate.min_eigenvalue,
-        "clipped_fraction": clipped_fraction,
-        "entries": entries,
-        "coverage": _coverage(entries),
-    }
+    return _Fit(estimate.outcomes, estimate.values, stderr, None, checks, report)
 
 
 def _solve_ml(problem, ml_cfg):
@@ -456,44 +436,53 @@ def _solve_ml(problem, ml_cfg):
     )
 
 
-def _bootstrap_ml(config, data, problem, flatten):
-    """Bootstrap an ML fit by solving the point problem reweighted by each
-    resample's draw counts, so every repetition keeps the point estimate's
-    outcome set (an outcome a resample misses solves to 0).
+def _fit_ml(config, data, state, quorum_obj, out) -> _Fit:
+    """Constrained maximum likelihood with bootstrap error bars; writes
+    ``ml_result.json``.
 
-    Returns the bootstrap report and each repetition's ``converged`` flag.
+    Each repetition solves the point problem reweighted by the resample's
+    draw counts, so every repetition keeps the point estimate's outcome
+    set (an outcome a resample misses solves to 0).  ``ml_certified``
+    holds only if the point estimate and every repetition stopped on the
+    likelihood-gap certificate.
     """
+    homodyne = isinstance(quorum_obj, quorum_mod.HomodyneQuorum)
+    if homodyne:
+        problem = recon_ml.build_problem_diagonal(
+            data, state, quorum_obj, config.ml.get("fock_cutoff")
+        )
+    else:
+        problem = recon_ml.build_problem_finite(data, state, quorum_obj)
+
+    def values_of(povm):
+        return povm.diagonal() if homodyne else np.stack(povm.elements)
+
+    result = _solve_ml(problem, config.ml)
     rep_converged: list[bool] = []
 
     def rerun(indices):
         resampled = problem.resample(np.bincount(indices, minlength=len(data)))
         res = _solve_ml(resampled, config.ml)
         rep_converged.append(res.converged)
-        return flatten(res.povm_hat)
+        return _flatten(values_of(res.povm_hat))
 
     boot = stats.bootstrap(data, rerun, config.bootstrap_reps, config.seed)
-    return boot, rep_converged
+    values = values_of(result.povm_hat)
+    result.export_json(out / "ml_result.json")
 
-
-def _ml_summary(result, outcomes, boot, rep_converged, entries, checks) -> dict:
-    """Report checks and the report block shared by both ML runners.
-
-    ``ml_certified`` holds only if the point estimate and every bootstrap
-    repetition stopped on the likelihood-gap certificate.
-    """
     monotone = bool(np.all(np.diff(result.ll_trace) >= -recon_ml.MONOTONE_SLACK))
     uncertified = rep_converged.count(False)
-    checks["ml_monotone"] = monotone
-    checks["ml_constraints"] = bool(
-        result.completeness_deviation <= recon_ml.COMPLETENESS_TOL
-        and result.min_eigenvalue >= recon_ml.POSITIVITY_TOL
-    )
-    checks["bootstrap_failures_ok"] = bool(boot.n_failures == 0)
-    checks["ml_certified"] = bool(result.converged and uncertified == 0)
-    return {
-        "estimator": "ml",
-        "outcomes": [int(n) for n in outcomes],
-        "catch_all_outcome": int(outcomes[-1]),
+    checks = {
+        "ml_monotone": monotone,
+        "ml_constraints": bool(
+            result.completeness_deviation <= recon_ml.COMPLETENESS_TOL
+            and result.min_eigenvalue >= recon_ml.POSITIVITY_TOL
+        ),
+        "bootstrap_failures_ok": bool(boot.n_failures == 0),
+        "ml_certified": bool(result.converged and uncertified == 0),
+    }
+    report = {
+        "catch_all_outcome": int(problem.outcomes[-1]),
         "iterations": result.iterations,
         "converged": result.converged,
         "ll_gap": result.ll_gap,
@@ -506,57 +495,15 @@ def _ml_summary(result, outcomes, boot, rep_converged, entries, checks) -> dict:
             "n_failures": boot.n_failures,
             "uncertified_repetitions": uncertified,
         },
-        "entries": entries,
-        "coverage": _coverage(entries),
     }
-
-
-def _run_ml_homodyne(config, data, state, hq, truth_diag, checks, out):
-    ml_cfg = config.ml
-    problem = recon_ml.build_problem_diagonal(data, state, hq, ml_cfg.get("fock_cutoff"))
-    result = _solve_ml(problem, ml_cfg)
-    theta = result.povm_hat.diagonal()
-    point_outcomes = problem.outcomes
-    boot, rep_converged = _bootstrap_ml(
-        config, data, problem, lambda povm: povm.diagonal().ravel()
-    )
-    stderr = boot.stdev.reshape(theta.shape)
-
-    entries = _diagonal_entries(
-        point_outcomes, theta, stderr, truth_diag, config.display_cutoff,
-        catch_all=point_outcomes[-1],
-    )
-    _write_diagonal_csv(
-        _diagonal_entries(
-            point_outcomes, theta, stderr, truth_diag, None, catch_all=point_outcomes[-1]
-        ),
-        out / "ml_reconstruction.csv",
-    )
-    result.export_json(out / "ml_result.json")
-    return _ml_summary(result, point_outcomes, boot, rep_converged, entries, checks)
-
-
-def _run_ml_finite(config, data, state, povm, quorum_obj, checks, out):
-    ml_cfg = config.ml
-    problem = recon_ml.build_problem_finite(data, state, quorum_obj)
-    result = _solve_ml(problem, ml_cfg)
-    elements = np.stack([np.asarray(p) for p in result.povm_hat.elements])
-    point_outcomes = problem.outcomes
-    boot, rep_converged = _bootstrap_ml(
-        config, data, problem, lambda povm: _interleave_complex(np.stack(povm.elements))
-    )
-    stderr = _combined_stderr(boot, elements.size).reshape(elements.shape)
-
-    entries = _finite_entries(
-        point_outcomes, elements, stderr, povm.elements, exact=False,
-        catch_all=point_outcomes[-1],
-    )
-    _write_finite_csv(entries, out / "ml_reconstruction.csv")
-    result.export_json(out / "ml_result.json")
-    return _ml_summary(result, point_outcomes, boot, rep_converged, entries, checks)
+    stderr = _bootstrap_stderr(boot, values.shape)
+    return _Fit(problem.outcomes, values, stderr, problem.outcomes[-1], checks, report)
 
 
 # --- artifact writers --------------------------------------------------------
+
+# plot-file header of each reconstruction column that is renamed there
+_PLOT_HEADERS = {"m": "n", "value": "estimate", "value_re": "estimate_re", "value_im": "estimate_im"}
 
 
 def _fmt(value) -> str:
@@ -565,28 +512,21 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def _write_finite_csv(entries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "i", "j", "value_re", "value_im", "stderr", "theory_re", "theory_im"])
-        for e in entries:
-            writer.writerow(
-                [
-                    e["n"], e["i"], e["j"],
-                    _fmt(e["value_re"]), _fmt(e["value_im"]), _fmt(e["stderr"]),
-                    _fmt(e.get("theory_re")), _fmt(e.get("theory_im")),
-                ]
-            )
+def _columns(complex_values: bool) -> dict[str, str]:
+    """Reconstruction-CSV header mapped to the entry key each column reads."""
+    keys, suffixes = _layout(complex_values)
+    names = [
+        "n", *keys, *("value" + s for s in suffixes), "stderr", *("theory" + s for s in suffixes)
+    ]
+    return {name: name for name in names}
 
 
-def _write_diagonal_csv(entries, path) -> None:
+def _write_csv(path, columns: dict[str, str], entries) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "m", "value", "stderr", "theory"])
+        writer.writerow(list(columns))
         for e in entries:
-            writer.writerow(
-                [e["n"], e["m"], _fmt(e["value"]), _fmt(e["stderr"]), _fmt(e.get("theory"))]
-            )
+            writer.writerow([_fmt(e.get(key)) for key in columns.values()])
 
 
 def emit_plot_data(report: RunReport, output_dir) -> list[Path]:
@@ -606,28 +546,17 @@ def emit_plot_data(report: RunReport, output_dir) -> list[Path]:
             note.write_text("no outcomes were reconstructed\n")
             written.append(note)
             continue
-        diagonal = "m" in entries[0]
+        columns = {
+            _PLOT_HEADERS.get(key, key): key
+            for key in _columns("value_re" in entries[0])
+            if key != "n"
+        }
         by_outcome: dict[int, list] = {}
         for e in entries:
             by_outcome.setdefault(e["n"], []).append(e)
         for k, rows in sorted(by_outcome.items()):
             path = out / f"{label}_k{k}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                if diagonal:
-                    writer.writerow(["n", "estimate", "stderr", "theory"])
-                    for e in rows:
-                        writer.writerow(
-                            [e["m"], _fmt(e["value"]), _fmt(e["stderr"]), _fmt(e.get("theory"))]
-                        )
-                else:
-                    writer.writerow(["i", "j", "estimate_re", "estimate_im", "stderr",
-                                     "theory_re", "theory_im"])
-                    for e in rows:
-                        writer.writerow(
-                            [e["i"], e["j"], _fmt(e["value_re"]), _fmt(e["value_im"]),
-                             _fmt(e["stderr"]), _fmt(e.get("theory_re")), _fmt(e.get("theory_im"))]
-                        )
+            _write_csv(path, columns, rows)
             written.append(path)
     return written
 

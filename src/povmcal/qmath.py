@@ -67,17 +67,6 @@ def partial_trace_first(x: ComplexOperator, dim_first: int) -> ComplexOperator:
     return np.einsum("ipiq->pq", x.reshape(dim_first, d2, dim_first, d2))
 
 
-def partial_trace_second(x: ComplexOperator, dim_second: int) -> ComplexOperator:
-    """Trace out the second tensor factor of dimension ``dim_second``."""
-    x = as_operator(x)
-    d = x.shape[0]
-    if dim_second <= 0 or d % dim_second != 0:
-        raise DimensionMismatchError(
-            f"dimension {d} is not divisible by second-factor dimension {dim_second}"
-        )
-    d1 = d // dim_second
-    return np.einsum("piqi->pq", x.reshape(d1, dim_second, d1, dim_second))
-
 
 @dataclass(frozen=True)
 class HermitianCheckReport:
@@ -121,13 +110,6 @@ def fock_quadrature_table(max_m: int, xs) -> np.ndarray:
     for m in range(1, max_m):
         table[m + 1] = (2.0 * xs * table[m] - np.sqrt(m) * table[m - 1]) / np.sqrt(m + 1)
     return table
-
-
-def fock_quadrature_amplitude(m: int, x: float) -> float:
-    """psi_m(x) in the vacuum-variance-1/4 convention."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return float(fock_quadrature_table(m, [x])[m, 0])
 
 
 def hermitian_inverse_sqrt(a: ComplexOperator, floor: float = 1e-14) -> ComplexOperator:

@@ -173,10 +173,6 @@ def noise_map_from_superoperator(matrix, max_condition: float = 1e10) -> NoiseMa
     return NoiseMap(m, np.linalg.inv(m), condition)
 
 
-def invert_noise_map(noise: NoiseMap) -> NoiseMap:
-    return NoiseMap(noise.inverse_superoperator, noise.superoperator, noise.condition_number)
-
-
 def depolarizing_superoperator(p: float, dim: int = 2) -> np.ndarray:
     """Superoperator of X -> (1-p) X + p Tr[X] I/d."""
     eye_vec = qmath.vec(np.eye(dim))

@@ -152,9 +152,6 @@ class PovmEstimate:
     completeness_deviation: float
     min_eigenvalue: float
 
-    def element(self, outcome: int) -> np.ndarray:
-        return self.values[self.outcomes.index(outcome)]
-
 
 def recover_povm(estimates: list[ConditionedEstimate], map_r: MapROperator) -> PovmEstimate:
     """P_n = p_n * M_R^(-1)(rho_n), with error bars pushed through the inverse.

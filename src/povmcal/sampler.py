@@ -1,17 +1,15 @@
 """Joint measurement record generation, deterministic per seed.
 
-Records are stored columnar (arrays of n, k, result) for speed; individual
-rows can be viewed as :class:`JointRecord` tuples.  Randomness is drawn in
-fixed-size blocks, each from an independent stream derived from the master
-seed, so parallel workers would produce bit-identical datasets regardless
-of scheduling; block outputs are concatenated in block order.
+Records are stored columnar (arrays of n, k, result) for speed.  Randomness
+is drawn in fixed-size blocks, each from an independent stream derived from
+the master seed, so parallel workers would produce bit-identical datasets
+regardless of scheduling; block outputs are concatenated in block order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,12 +28,6 @@ BLOCK_SIZE = 1 << 16
 # stream tags keep the independent substreams of one master seed apart
 _STREAM_FINITE = 0
 _STREAM_HOMODYNE = 1
-
-
-class JointRecord(NamedTuple):
-    outcome_n: int
-    setting_k: int | float
-    result: int | float
 
 
 @dataclass(frozen=True)
@@ -60,11 +52,6 @@ class Dataset:
     @property
     def counts_by_n(self) -> np.ndarray:
         return np.bincount(self.outcome_n)
-
-    def record(self, i: int) -> JointRecord:
-        return JointRecord(
-            int(self.outcome_n[i]), self.setting_k[i].item(), self.result[i].item()
-        )
 
     def subset(self, indices) -> "Dataset":
         return replace(

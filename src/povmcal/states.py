@@ -85,12 +85,6 @@ class BipartiteState:
             raise UnsupportedStructureError("state is not in Schmidt form")
         return self._schmidt**2
 
-    def tomo_reduced(self) -> ComplexOperator:
-        """Reduced state on the tomographer side, Tr_1[R]."""
-        if self._schmidt is not None:
-            return np.diag(self._schmidt.astype(complex) ** 2)
-        return qmath.partial_trace_first(self.rho, self.dim_system)
-
     def validate(self, herm_tol: float = 1e-12, eig_tol: float = -1e-10, trace_tol: float = 1e-12):
         """Check Hermiticity, positivity and unit trace of the dense matrix."""
         report = qmath.positivity_report(self.rho)
@@ -258,11 +252,3 @@ def build_diagonal_map_R(
     pinv, condition = _pinv_with_condition(matrix, svd_tolerance)
     return MapROperator(matrix, pinv, condition, svd_tolerance, subspace="diagonal")
 
-
-def apply_map_R(map_r: MapROperator, x) -> np.ndarray:
-    return map_r.apply(x)
-
-
-def invert_map_R(map_r: MapROperator, y) -> np.ndarray:
-    """Least-squares inverse of the calibration map (see MapROperator notes)."""
-    return map_r.invert(y)

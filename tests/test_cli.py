@@ -51,6 +51,24 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="strategy"):
             ScenarioConfig.from_dict(payload)
 
+    def test_exact_mode_rejects_homodyne_quorum_at_config(self):
+        payload = scenario_config("fig2")
+        payload["exact_probabilities"] = True
+        with pytest.raises(ValueError, match="finite quorum"):
+            ScenarioConfig.from_dict(payload)
+
+    def test_noise_rejects_homodyne_quorum(self):
+        payload = scenario_config("fig2")
+        payload["noise"] = {"kind": "depolarizing", "p": 0.1}
+        with pytest.raises(ValueError, match="noise"):
+            ScenarioConfig.from_dict(payload)
+
+    def test_display_cutoff_rejects_finite_quorum(self):
+        payload = scenario_config("qubit-sampled")
+        payload["display_cutoff"] = 1
+        with pytest.raises(ValueError, match="display_cutoff"):
+            ScenarioConfig.from_dict(payload)
+
     def test_exact_mode_needs_finite_quorum(self, tmp_path):
         payload = scenario_config("fig2")
         payload["exact_probabilities"] = True
@@ -122,11 +140,18 @@ class TestRun:
         assert meta["n_records"] == 4000
 
     @pytest.mark.properties
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = small_sampled_config(strategy="averaging")
+    @pytest.mark.parametrize(
+        "strategy, files",
+        [
+            ("averaging", ["averaging_reconstruction.csv"]),
+            ("both", ["averaging_reconstruction.csv", "ml_reconstruction.csv", "ml_result.json"]),
+        ],
+    )
+    def test_byte_identical_reruns(self, tmp_path, strategy, files):
+        cfg = small_sampled_config(strategy=strategy)
         run(cfg, tmp_path / "a")
         run(cfg, tmp_path / "b")
-        for name in ["report.json", "config.json", "averaging_reconstruction.csv"]:
+        for name in ["report.json", "config.json", *files]:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes(), name
@@ -135,6 +160,22 @@ class TestRun:
             assert (tmp_path / "a" / "plots" / name).read_bytes() == (
                 tmp_path / "b" / "plots" / name
             ).read_bytes()
+
+    def test_homodyne_both_strategies(self, tmp_path):
+        cfg = scenario_config("fig4")
+        cfg.update(n_records=20_000, strategy="both", bootstrap_reps=2)
+        cfg["state"].update(xi=0.6, fock_cutoff=20)
+        cfg["ml"]["fock_cutoff"] = 14
+        report = run(ScenarioConfig.from_dict(cfg), tmp_path)
+        assert set(report.reconstructions) == {"averaging", "ml"}
+        for check in ("clipping_ok", "ml_monotone", "ml_constraints", "ml_certified",
+                      "bootstrap_failures_ok"):
+            assert check in report.checks, check
+        for label in ("averaging", "ml"):
+            header = (tmp_path / f"{label}_reconstruction.csv").read_text().splitlines()[0]
+            assert header == "n,m,value,stderr,theory"
+            assert (tmp_path / "plots" / f"{label}_k0.csv").exists()
+            assert (tmp_path / "plots" / f"{label}_k7.csv").exists()
 
     def test_fig2_small_has_eight_display_plot_files(self, tmp_path):
         cfg = scenario_config("fig2")

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from povmcal.errors import DimensionMismatchError
 from povmcal.qmath import (
-    fock_quadrature_amplitude,
     fock_quadrature_table,
     partial_trace_first,
-    partial_trace_second,
     positivity_report,
     tensor_product,
 )
@@ -83,13 +81,6 @@ class TestPartialTrace:
         np.testing.assert_allclose(
             partial_trace_first(x, 3), ptrace_first_loop(x, 3), atol=1e-14
         )
-        np.testing.assert_allclose(
-            partial_trace_second(x, 3),
-            ptrace_first_loop(
-                x.reshape(2, 3, 2, 3).transpose(1, 0, 3, 2).reshape(6, 6), 3
-            ),
-            atol=1e-14,
-        )
 
     @pytest.mark.properties
     @settings(max_examples=25, deadline=None)
@@ -132,7 +123,7 @@ class TestPositivityReport:
 class TestQuadratureWavefunctions:
     def test_vacuum_peak_value(self):
         np.testing.assert_allclose(
-            fock_quadrature_amplitude(0, 0.0), (2.0 / np.pi) ** 0.25, rtol=1e-14
+            fock_quadrature_table(0, [0.0])[0, 0], (2.0 / np.pi) ** 0.25, rtol=1e-14
         )
 
     @pytest.mark.properties

@@ -13,7 +13,6 @@ from povmcal.quorum import (
     export_kernels_csv,
     finite_quorum,
     homodyne_quorum,
-    invert_noise_map,
     noise_corrected_duals,
     noise_map_from_superoperator,
     pauli_quorum,
@@ -121,12 +120,6 @@ class TestNoiseMap:
     def test_completely_depolarizing_rejected(self):
         with pytest.raises(NonInvertibleNoiseError):
             noise_map_from_superoperator(depolarizing_superoperator(1.0, 2))
-
-    def test_invert_swaps_directions(self):
-        noise = noise_map_from_superoperator(depolarizing_superoperator(0.25, 2))
-        inverted = invert_noise_map(noise)
-        x = np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex)
-        np.testing.assert_allclose(inverted.apply(x), noise.apply_inverse(x), atol=1e-14)
 
     @pytest.mark.properties
     def test_noise_inverted_expansion_identity(self):

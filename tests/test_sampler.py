@@ -220,7 +220,5 @@ class TestDatasetIO:
         data = Dataset(
             np.array([1, 0]), np.array([2, 1]), np.array([0, 1]), 0, "x", "finite"
         )
-        rec = data.record(0)
-        assert rec.outcome_n == 1 and rec.setting_k == 2 and rec.result == 0
         assert len(data) == 2
         np.testing.assert_array_equal(data.counts_by_n, [1, 1])

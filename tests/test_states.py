@@ -7,7 +7,6 @@ from povmcal.states import (
     apply_noise_tomo_side,
     build_diagonal_map_R,
     build_map_R,
-    invert_map_R,
     maximally_entangled,
     product_mixed,
     twin_beam,
@@ -104,7 +103,7 @@ class TestMapR:
         state = maximally_entangled(2)
         map_r = build_map_R(state)
         np.testing.assert_allclose(
-            invert_map_R(map_r, np.eye(2) / 2), np.eye(2), atol=1e-12
+            map_r.invert(np.eye(2) / 2), np.eye(2), atol=1e-12
         )
 
     def test_round_trip_random_operator(self):
@@ -114,7 +113,7 @@ class TestMapR:
             map_r = build_map_R(state)
             x = random_hermitian(rng, d)
             np.testing.assert_allclose(
-                invert_map_R(map_r, map_r.apply(x)), x, atol=1e-8 * np.abs(x).max()
+                map_r.invert(map_r.apply(x)), x, atol=1e-8 * np.abs(x).max()
             )
 
     def test_generic_state_round_trip(self):
@@ -131,7 +130,7 @@ class TestMapR:
         map_r = build_map_R(state)
         assert np.isfinite(map_r.condition_number)
         x = random_hermitian(rng, d)
-        np.testing.assert_allclose(invert_map_R(map_r, map_r.apply(x)), x, atol=1e-8)
+        np.testing.assert_allclose(map_r.invert(map_r.apply(x)), x, atol=1e-8)
 
     def test_product_state_not_faithful(self):
         map_r = build_map_R(product_mixed(2, 2))
