@@ -156,8 +156,12 @@ class PovmEstimate:
 def recover_povm(estimates: list[ConditionedEstimate], map_r: MapROperator) -> PovmEstimate:
     """P_n = p_n * M_R^(-1)(rho_n), with error bars pushed through the inverse.
 
-    Error propagation treats entries as independent: the output variance
-    is |pseudo_inverse|^2 applied to the input variances, scaled by p_n.
+    Error propagation treats entries as independent: the variance of
+    M_R^(-1)(rho_n) is |pseudo_inverse|^2 applied to the input variances.
+    For sampled estimates (``count`` > 0) P_n is the mean over all N records
+    of 1[n_i = n] M_R^(-1) K(record_i), so p_n fluctuates too and
+
+        var(P_n) = p_n^2 var(M_R^(-1)(rho_n)) + (1 - p_n) |P_n|^2 / count_n.
     """
     if not estimates:
         raise ValueError("no conditioned estimates to invert")
@@ -184,9 +188,13 @@ def recover_povm(estimates: list[ConditionedEstimate], map_r: MapROperator) -> P
         else:
             recovered = map_r.invert(rho)
             var = push_variance(np.real(qmath.vec(est.stderr))).reshape(recovered.shape)
+        value = est.p_hat_n * recovered
+        err = est.p_hat_n * np.sqrt(np.maximum(np.real(var), 0.0))
+        if est.count > 0:
+            err = np.sqrt(err**2 + (1.0 - est.p_hat_n) * np.abs(value) ** 2 / est.count)
         outcomes.append(est.outcome_n)
-        values.append(est.p_hat_n * recovered)
-        errors.append(est.p_hat_n * np.sqrt(np.maximum(np.real(var), 0.0)))
+        values.append(value)
+        errors.append(err)
         p_hat.append(est.p_hat_n)
 
     values_arr = np.stack(values)

@@ -194,23 +194,43 @@ class TestRecoverPovm:
             err = np.abs(recovered.values[idx] - povm[n])
             assert np.all(err < 6 * recovered.stderr[idx] + 1e-12)
 
-    def test_twin_beam_diagonal_inverse_weights(self):
+    @staticmethod
+    def _twin_beam_counter():
         state = twin_beam(0.88, 54)
         povm = noisy_photocounter(0.8, 1.0, fock_cutoff=54, env_cutoff=30)
         hq = homodyne_quorum(6, 0.9, grid=(-6.0, 6.0, 1.0 / 256.0), unbias_cutoff=14)
         data = sample_homodyne_twinbeam(state, povm, hq, 50_000, seed=6)
         estimates, _ = estimate_conditioned_homodyne(data, hq)
-        map_r = build_diagonal_map_R(state, cutoff=6)
-        recovered = recover_povm(estimates, map_r)
+        recovered = recover_povm(estimates, build_diagonal_map_R(state, cutoff=6))
+        return state, hq, data, estimates, recovered
+
+    def test_twin_beam_diagonal_inverse_weights(self):
+        state, _, _, estimates, recovered = self._twin_beam_counter()
         weights = state.diagonal_weights()[:7]
         for idx, n in enumerate(recovered.outcomes):
             est = next(e for e in estimates if e.outcome_n == n)
             np.testing.assert_allclose(
                 recovered.values[idx], est.p_hat_n * est.rho_hat[:7] / weights, rtol=1e-10
             )
-            np.testing.assert_allclose(
-                recovered.stderr[idx], est.p_hat_n * est.stderr[:7] / weights, rtol=1e-10
+            # p_hat_n * stderr(rho_n) plus the fluctuation of p_hat_n itself
+            expected = np.sqrt(
+                (est.p_hat_n * est.stderr[:7] / weights) ** 2
+                + (1.0 - est.p_hat_n) * recovered.values[idx] ** 2 / est.count
             )
+            np.testing.assert_allclose(recovered.stderr[idx], expected, rtol=1e-10)
+
+    def test_diagonal_stderr_is_the_per_record_spread(self):
+        # P_n = (1/N) sum_i 1[n_i = n] M^-1 K(x_i) is a mean over all N
+        # records, so its stderr is the spread of that per-record term
+        state, hq, data, _, recovered = self._twin_beam_counter()
+        kernels, _ = hq.kernel_table.evaluate(data.result)
+        per_record = kernels[:7] / state.diagonal_weights()[:7, None]
+        for idx, n in enumerate(recovered.outcomes):
+            if data.counts_by_n[n] < 1000:
+                continue
+            term = np.where(data.outcome_n == n, per_record, 0.0)
+            spread = term.std(axis=1, ddof=1) / np.sqrt(len(data))
+            np.testing.assert_allclose(recovered.stderr[idx], spread, rtol=1e-3)
 
     def test_trivial_povm_completeness(self):
         state = maximally_entangled(2)
