@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import sys
 import time
@@ -188,11 +189,6 @@ def _layout(complex_values: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return (("i", "j"), ("_re", "_im")) if complex_values else (("m",), ("",))
 
 
-def _parts(key: str, x, suffixes: tuple[str, ...]) -> dict:
-    """``{key: x}`` for a real entry, ``{key_re, key_im}`` for a complex one."""
-    return {key + s: float(part) for s, part in zip(suffixes, (np.real(x), np.imag(x)))}
-
-
 def _zscore(abs_error: float, stderr: float | None, exact: bool) -> float:
     if exact:
         return abs_error / EXACT_TOLERANCE
@@ -206,26 +202,28 @@ def _entries(fit: _Fit, truth: np.ndarray, display: int | None, exact: bool) -> 
     for diagonal estimates and (i, j) for full ones; with ``display`` only
     outcomes and indices up to it."""
     keys, suffixes = _layout(np.iscomplexobj(fit.values))
+    value_keys = ["value" + s for s in suffixes]
+    theory_keys = ["theory" + s for s in suffixes]
     shape = fit.values.shape[1:]
     if display is not None:
         shape = tuple(min(size, display + 1) for size in shape)
+    window = tuple(slice(size) for size in shape)
+    indices = list(itertools.product(*map(range, shape)))
     entries = []
-    for idx, n in enumerate(fit.outcomes):
+    for n, values, stderr in zip(fit.outcomes, fit.values, fit.stderr):
         if display is not None and n > display:
             continue
-        for index in np.ndindex(shape):
-            value = fit.values[idx][index]
-            row = {
-                "n": int(n),
-                **dict(zip(keys, index)),
-                **_parts("value", value, suffixes),
-                "stderr": float(fit.stderr[idx][index]),
-            }
-            if n != fit.catch_all and n < len(truth):
-                theory = truth[n][index]
-                row.update(_parts("theory", theory, suffixes))
-                diff = abs(complex(value) - complex(theory))
-                row["z"] = _zscore(diff, row["stderr"], exact)
+        compared = n != fit.catch_all and n < len(truth)
+        theories = truth[n][window].ravel().tolist() if compared else itertools.repeat(None)
+        for index, value, sigma, theory in zip(
+            indices, values[window].ravel().tolist(), stderr[window].ravel().tolist(), theories
+        ):
+            row = {"n": int(n), **dict(zip(keys, index)), "stderr": sigma}
+            # a real entry has one value key and so takes only the real part
+            row.update(zip(value_keys, (value.real, value.imag)))
+            if compared:
+                row.update(zip(theory_keys, (theory.real, theory.imag)))
+                row["z"] = _zscore(abs(complex(value) - complex(theory)), sigma, exact)
             entries.append(row)
     return entries
 

@@ -146,6 +146,7 @@ class TestRun:
             ("averaging", ["averaging_reconstruction.csv"]),
             ("both", ["averaging_reconstruction.csv", "ml_reconstruction.csv", "ml_result.json"]),
         ],
+        ids=["averaging", "both"],
     )
     def test_byte_identical_reruns(self, tmp_path, strategy, files):
         cfg = small_sampled_config(strategy=strategy)
