@@ -9,7 +9,6 @@ error bars and a config-driven experiment runner.
 
 from .detectors import (
     Povm,
-    born_probabilities,
     noisy_photocounter,
     projective_povm,
     random_povm,
@@ -32,7 +31,6 @@ from .quorum import (
     homodyne_quorum,
     noise_map_from_superoperator,
     pauli_quorum,
-    smeared_fock_pdf,
 )
 from .recon_avg import (
     ConditionedEstimate,
@@ -77,7 +75,6 @@ __all__ = [
     "Povm",
     "PovmEstimate",
     "bootstrap",
-    "born_probabilities",
     "build_diagonal_kernels",
     "build_diagonal_map_R",
     "build_map_R",
@@ -102,7 +99,6 @@ __all__ = [
     "recover_povm",
     "sample_finite",
     "sample_homodyne_twinbeam",
-    "smeared_fock_pdf",
     "tensor_product",
     "twin_beam",
 ]

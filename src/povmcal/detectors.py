@@ -54,7 +54,7 @@ class Povm:
         return float(np.abs(total - np.eye(self.dim)).max())
 
     def min_eigenvalue(self) -> float:
-        return min(qmath.positivity_report(e).min_eigenvalue for e in self.elements)
+        return qmath.min_eigenvalue(self.elements)
 
     def max_antihermitian_deviation(self) -> float:
         return max(qmath.positivity_report(e).max_antihermitian_deviation for e in self.elements)
@@ -95,18 +95,6 @@ def projective_povm(basis) -> Povm:
     if deviation >= 1e-10:
         raise PovmInvariantError(f"basis is not orthonormal: Gram deviation {deviation:.3e}")
     return Povm(tuple(np.outer(v, v.conj()) for v in vectors))
-
-
-def thermal_weights(nu: float, cutoff: int) -> np.ndarray:
-    """Thermal photon-number distribution nu^j / (1+nu)^(j+1), j = 0..cutoff."""
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
-    j = np.arange(cutoff + 1)
-    if nu == 0.0:
-        w = np.zeros(cutoff + 1)
-        w[0] = 1.0
-        return w
-    return np.exp(j * np.log(nu) - (j + 1) * np.log1p(nu))
 
 
 def thermal_tail_mass(nu: float, cutoff: int) -> float:
@@ -218,13 +206,3 @@ def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
         p = correction @ a @ correction
         elements.append((p + p.conj().T) / 2.0)
     return Povm(tuple(elements))
-
-
-def born_probabilities(povm: Povm, rho: ComplexOperator) -> np.ndarray:
-    """Outcome probabilities p(n) = Tr[rho P_n]."""
-    rho = qmath.as_operator(rho)
-    if rho.shape[0] != povm.dim:
-        raise DimensionMismatchError(
-            f"state dimension {rho.shape[0]} does not match POVM dimension {povm.dim}"
-        )
-    return np.array([float(np.real(np.trace(rho @ p))) for p in povm.elements])

@@ -90,6 +90,18 @@ def positivity_report(x: ComplexOperator) -> HermitianCheckReport:
     return HermitianCheckReport(deviation, float(eigenvalues[0]))
 
 
+def min_eigenvalue(stack) -> float:
+    """Smallest eigenvalue of the Hermitian parts (X + X^dag)/2 over a
+    stack of operators of shape (..., d, d).
+
+    LAPACK still runs once per matrix, so the value is bit-identical to the
+    smallest :func:`positivity_report` ``min_eigenvalue`` of the elements.
+    """
+    x = np.asarray(stack, dtype=complex)
+    hermitian_part = (x + np.conj(np.swapaxes(x, -1, -2))) / 2.0
+    return float(np.linalg.eigvalsh(hermitian_part)[..., 0].min())
+
+
 def fock_quadrature_table(max_m: int, xs) -> np.ndarray:
     """Quadrature wavefunctions psi_m(x) for m = 0..max_m, shape (max_m+1, len(xs)).
 

@@ -155,9 +155,6 @@ class NoiseMap:
     def apply(self, x: ComplexOperator) -> ComplexOperator:
         return qmath.unvec(self.superoperator @ qmath.vec(x), self.dim)
 
-    def apply_inverse(self, x: ComplexOperator) -> ComplexOperator:
-        return qmath.unvec(self.inverse_superoperator @ qmath.vec(x), self.dim)
-
 
 def noise_map_from_superoperator(matrix, max_condition: float = 1e10) -> NoiseMap:
     m = np.asarray(matrix, dtype=complex)
@@ -218,12 +215,6 @@ def smeared_fock_pdf_table(max_m: int, eta_h: float, xs) -> np.ndarray:
 
     mix = binomial_loss_matrix(eta_h, max_m + 1)  # mix[j, m] = Binom(j; m, eta)
     return np.sqrt(eta_h) * (mix.T @ psi2)
-
-
-def smeared_fock_pdf(m: int, eta_h: float, x) -> np.ndarray | float:
-    table = smeared_fock_pdf_table(m, eta_h, x)
-    out = table[m]
-    return float(out[0]) if np.isscalar(x) else out
 
 
 @dataclass(frozen=True)

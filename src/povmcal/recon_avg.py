@@ -206,9 +206,7 @@ def recover_povm(estimates: list[ConditionedEstimate], map_r: MapROperator) -> P
     else:
         total = values_arr.sum(axis=0)
         completeness = float(np.abs(total - np.eye(total.shape[0])).max())
-        min_eig = min(
-            qmath.positivity_report(v).min_eigenvalue for v in values_arr
-        )
+        min_eig = qmath.min_eigenvalue(values_arr)
     return PovmEstimate(
         tuple(outcomes),
         values_arr,

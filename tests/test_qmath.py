@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from povmcal.errors import DimensionMismatchError
 from povmcal.qmath import (
     fock_quadrature_table,
+    min_eigenvalue,
     partial_trace_first,
     positivity_report,
     tensor_product,
@@ -118,6 +119,15 @@ class TestPositivityReport:
         x = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         report = positivity_report(x)
         np.testing.assert_allclose(report.max_antihermitian_deviation, 1.0)
+
+    def test_stacked_min_eigenvalue_is_the_loop_minimum(self):
+        rng = np.random.default_rng(11)
+        for shape in ((5, 3, 3), (4, 2, 2), (2, 55, 55)):
+            stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            loop = min(positivity_report(x).min_eigenvalue for x in stack)
+            assert min_eigenvalue(stack) == loop
+        real = rng.normal(size=(3, 4, 4))
+        assert min_eigenvalue(real) == min(positivity_report(x).min_eigenvalue for x in real)
 
 
 class TestQuadratureWavefunctions:

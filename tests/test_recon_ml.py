@@ -1,25 +1,27 @@
 import numpy as np
 import pytest
 
-from povmcal.cli import build_detector, build_quorum, build_state
-from povmcal.detectors import Povm, noisy_photocounter, random_povm
+from povmcal.cli import build_detector, build_noise, build_quorum, build_state
+from povmcal.detectors import Povm, noisy_photocounter, projective_povm, random_povm
 from povmcal.errors import CutoffError, PovmInvariantError
 from povmcal.quorum import homodyne_quorum, pauli_quorum, smeared_fock_pdf_table
 from povmcal.recon_ml import (
     COMPLETENESS_TOL,
     MONOTONE_SLACK,
     POSITIVITY_TOL,
+    PIN_EIGENVALUE,
     FiniteMlProblem,
     build_problem_diagonal,
     build_problem_finite,
     _feasible_steplength,
+    _newton_point,
     _outcome_rows,
     log_likelihood,
     maximize,
 )
 from povmcal.sampler import Dataset, joint_probability_tables, sample_finite, sample_homodyne_twinbeam
 from povmcal.scenarios import scenario_config
-from povmcal.states import maximally_entangled, twin_beam
+from povmcal.states import apply_noise_tomo_side, maximally_entangled, twin_beam
 from povmcal.stats import bootstrap
 
 HQ = homodyne_quorum(6, 0.9, grid=(-6.0, 6.0, 1.0 / 256.0))
@@ -432,6 +434,75 @@ class TestAcceleratedStep:
                 w, u = np.linalg.eigh((p + p.conj().T) / 2.0)
                 expected.append((u * np.clip(w, 0.0, None)) @ u.conj().T)
             np.testing.assert_array_equal(problem.project(x), np.stack(expected))
+
+
+class TestNewtonCandidate:
+    def test_one_step_from_a_near_optimal_interior_point_cuts_the_gap(self):
+        problem, *_ = make_finite_problem(n_records=50_000, seed=0)
+        near = maximize(problem, gap_tol=1.0, accelerate=False)
+        point = problem.from_povm(near.povm_hat)
+        # every outcome with records sits inside the cone
+        assert np.linalg.eigvalsh(point[:-1]).min() > 1e-3
+        ll, grad = problem.evaluate(point)
+        gap = problem.ll_gap(point, grad)
+        assert 0.1 < gap <= 1.0
+        stepped, ll_stepped, grad_stepped = _newton_point(problem, point, ll, grad)
+        assert ll_stepped > ll
+        assert problem.ll_gap(stepped, grad_stepped) <= gap / 100.0
+
+    def test_pinned_direction_gets_no_step(self):
+        # projective truth: the ML element P_0 = v v^dag is rank one; moving
+        # weight eps of v v^dag to P_1 leaves the optimum but not P_0's face
+        state, quorum = maximally_entangled(2), pauli_quorum()
+        data = sample_finite(state, projective_povm(np.eye(2)), quorum, 5_000, seed=1)
+        problem = build_problem_finite(data, state, quorum)
+        point = problem.from_povm(maximize(problem).povm_hat)
+        w, vectors = np.linalg.eigh(point[0])
+        u, v = vectors[:, 0], vectors[:, 1]
+        assert abs(w[0]) < 1e-12 and abs(w[1] - 1.0) < 1e-3
+        eps = 0.05
+        point[0] -= eps * np.outer(v, v.conj())
+        point[1] += eps * np.outer(v, v.conj())
+        _, grad = problem.evaluate(point)
+        direction = problem.newton_direction(point, grad)
+        lagrange = np.einsum("nij,njk->ik", grad, point)
+        lagrange = (lagrange + lagrange.conj().T) / 2.0
+        assert np.real(u.conj() @ point[0] @ u) <= PIN_EIGENVALUE
+        assert np.real(u.conj() @ (grad[0] - lagrange) @ u) <= 0.0
+        # the step restores the weight along v but leaves u alone
+        assert np.real(v.conj() @ direction[0] @ v) > eps / 2.0
+        assert np.abs(u.conj() @ direction[0] @ u) <= 1e-12 * np.abs(direction).max()
+        # the outcome nobody recorded gets no step at all
+        assert problem.counts[-1].sum() == 0.0
+        assert np.all(direction[-1] == 0.0)
+
+    def test_qutrit_grid_slice_certifies_with_monotone_traces(self):
+        # qutrit-oracle physics; detector seed 3, data seed 2, no noise,
+        # repetition 0 is a boundary optimum that a frozen support stalls on
+        cfg = scenario_config("qutrit-oracle")
+        state = build_state(cfg["state"])
+        quorum = build_quorum(dict(cfg["quorum"], seed=2), state.dim_tomo)
+        solved = 0
+        for detector_seed in (3, 11):
+            povm = build_detector(dict(cfg["detector"], seed=detector_seed), state)
+            for noise in (None, {"kind": "depolarizing", "p": 0.1}):
+                noise_map = build_noise(noise, state.dim_tomo)
+                sampled = apply_noise_tomo_side(state, noise_map) if noise_map else state
+                for data_seed in (1, 2, 3):
+                    data = sample_finite(sampled, povm, quorum, 20_000, seed=data_seed)
+                    problem = build_problem_finite(data, sampled, quorum)
+                    problems = [problem]
+                    for rep in range(3):
+                        indices = np.random.default_rng([data_seed, 2, rep]).integers(
+                            0, len(data), len(data)
+                        )
+                        problems.append(problem.resample(np.bincount(indices, minlength=len(data))))
+                    for p in problems:
+                        result = maximize(p)
+                        assert result.converged, (detector_seed, noise, data_seed, result.ll_gap)
+                        assert np.all(np.diff(result.ll_trace) >= -MONOTONE_SLACK)
+                        solved += 1
+        assert solved == 48
 
 
 def test_fig4_seed_1_point_estimate_certifies_quickly():
