@@ -63,6 +63,8 @@ class ScenarioConfig:
             raise ValueError("maximum likelihood requires sampled data")
         if wants_ml and self.bootstrap_reps < 2:
             raise ValueError("ml strategy needs bootstrap_reps >= 2 for error bars")
+        if not wants_ml and self.bootstrap_reps != 0:
+            raise ValueError("averaging error bars are analytic; set bootstrap_reps to 0")
         if not self.exact_probabilities and self.n_records < 1:
             raise ValueError("n_records must be positive in sampled mode")
         unknown_ml = set(self.ml) - ML_KEYS
@@ -383,8 +385,9 @@ def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunRepo
 def _fit_averaging(config, data, state, povm, quorum_obj, map_r, noise) -> _Fit:
     """Linear averaging through the inverted input map.
 
-    Error bars are analytic, except for sampled finite data with
-    ``bootstrap_reps`` >= 2, whose bars come from the bootstrap.
+    Error bars are always the analytic stderr of :func:`recon_avg.recover_povm`:
+    the estimate is a record mean, so that stderr is its exact spread and
+    no bootstrap is run (``bootstrap_reps`` serves maximum likelihood only).
     """
     checks, report = {}, {}
     homodyne = isinstance(quorum_obj, quorum_mod.HomodyneQuorum)
@@ -401,29 +404,13 @@ def _fit_averaging(config, data, state, povm, quorum_obj, map_r, noise) -> _Fit:
         else:
             estimates = recon_avg.estimate_conditioned_finite(data, quorum_obj, duals, noise)
     estimate = recon_avg.recover_povm(estimates, map_r)
-
-    stderr = estimate.stderr
-    if not homodyne and not config.exact_probabilities and config.bootstrap_reps >= 2:
-        missing = np.full_like(estimate.values[0], np.nan)
-
-        def rerun(indices):
-            ests = recon_avg.estimate_conditioned_finite(
-                data.subset(indices), quorum_obj, duals, noise
-            )
-            resampled = recon_avg.recover_povm(ests, map_r)
-            by_outcome = dict(zip(resampled.outcomes, resampled.values))
-            return _flatten(np.stack([by_outcome.get(n, missing) for n in estimate.outcomes]))
-
-        boot = stats.bootstrap(data, rerun, config.bootstrap_reps, config.seed)
-        stderr = _bootstrap_stderr(boot, estimate.values.shape)
-
     report.update(
         unobserved_outcomes=sorted(set(range(len(povm))) - set(estimate.outcomes)),
         p_hat=estimate.p_hat.tolist(),
         completeness_deviation=estimate.completeness_deviation,
         min_eigenvalue=estimate.min_eigenvalue,
     )
-    return _Fit(estimate.outcomes, estimate.values, stderr, None, checks, report)
+    return _Fit(estimate.outcomes, estimate.values, estimate.stderr, None, checks, report)
 
 
 def _solve_ml(problem, ml_cfg):
@@ -459,8 +446,7 @@ def _fit_ml(config, data, state, quorum_obj, out) -> _Fit:
     rep_converged: list[bool] = []
 
     def rerun(indices):
-        resampled = problem.resample(np.bincount(indices, minlength=len(data)))
-        res = _solve_ml(resampled, config.ml)
+        res = _solve_ml(problem.resample(indices), config.ml)
         rep_converged.append(res.converged)
         return _flatten(values_of(res.povm_hat))
 

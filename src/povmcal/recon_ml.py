@@ -107,11 +107,12 @@ class DiagonalMlProblem:
         """(N,) row of theta of every record, in the order of ``responses``."""
         return np.repeat(self.row_outcome, self.multiplicity.astype(np.intp))
 
-    def resample(self, record_counts: np.ndarray) -> "DiagonalMlProblem":
-        """Problem of the bootstrap resample that draws dataset record i
-        ``record_counts[i]`` times: rows never drawn are dropped, the rest
-        carry their draw counts, and the outcome set stays."""
-        multiplicity = np.asarray(record_counts, dtype=float)[self.record]
+    def resample(self, indices: np.ndarray) -> "DiagonalMlProblem":
+        """Problem of the bootstrap resample that draws the dataset records
+        ``indices``: rows never drawn are dropped, the rest carry their draw
+        counts, and the outcome set stays."""
+        draws = np.bincount(indices, minlength=int(self.record.max()) + 1)
+        multiplicity = draws[self.record].astype(float)
         drawn = np.flatnonzero(multiplicity)
         return DiagonalMlProblem(
             self.weights,
@@ -214,11 +215,12 @@ class FiniteMlProblem:
         self._basis = _hermitian_basis(self.dim)
         self._design = np.real(np.einsum("aij,kmji->akm", self._basis, self.effects))
 
-    def resample(self, record_counts: np.ndarray) -> "FiniteMlProblem":
-        """Problem of the bootstrap resample that draws dataset record i
-        ``record_counts[i]`` times; the outcome set stays."""
-        counts = np.bincount(self.cells, weights=record_counts, minlength=self.counts.size)
-        return replace(self, counts=counts.reshape(self.counts.shape))
+    def resample(self, indices: np.ndarray) -> "FiniteMlProblem":
+        """Problem of the bootstrap resample that draws the dataset records
+        ``indices``: the count tensor of the drawn records' cells, with the
+        outcome set kept."""
+        counts = np.bincount(self.cells[indices], minlength=self.counts.size)
+        return replace(self, counts=counts.reshape(self.counts.shape).astype(float))
 
     @property
     def n_outcomes(self) -> int:
@@ -293,9 +295,7 @@ class FiniteMlProblem:
         slack = np.real(np.einsum("nia,nij,nja->na", u.conj(), excess, u))
         pinned = (w <= PIN_EIGENVALUE) & (slack <= 0.0)
         face = (u * pinned[:, None, :]) @ _dagger(u)
-        # X -> Q X Q, Q the projector onto the pinned directions, in coordinates
-        block = np.real(np.einsum("aij,njk,bkl,nli->nab", self._basis, face, self._basis, face))
-        free = np.eye(self.dim**2) - block
+        free = np.eye(self.dim**2) - _face_block(self._basis, face)
         inverse = np.linalg.pinv(free @ hessian @ free, hermitian=True)
         g = np.real(np.einsum("aij,nji->na", self._basis, grad))
         pulled = np.einsum("nab,nb->na", inverse, g)
@@ -320,6 +320,19 @@ def _lagrange(elements: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Lambda, the Hermitian part of sum_n R_n P_n."""
     lagrange = np.einsum("nij,njk->ik", grad, elements)
     return (lagrange + lagrange.conj().T) / 2.0
+
+
+def _face_block(basis: np.ndarray, face: np.ndarray) -> np.ndarray:
+    """(n, a, b) matrices Tr[E_a Q_n E_b Q_n] of X -> Q_n X Q_n in the
+    coordinates of the Hermitian ``basis`` E_a, for a stack of projectors Q_n.
+
+    The trace is vec(E_a) . K_n . vec(E_b) with K_n[(i, j), (k, l)] =
+    Q_n[j, k] Q_n[l, i], so the block is two matrix products.
+    """
+    flat = basis.reshape(len(basis), -1)
+    size = flat.shape[1]
+    kron = np.einsum("njk,nli->nijkl", face, face).reshape(len(face), size, size)
+    return np.real(flat @ kron @ flat.T)
 
 
 def _hermitian_basis(dim: int) -> np.ndarray:

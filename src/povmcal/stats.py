@@ -35,8 +35,8 @@ def bootstrap(
 
     Records are resampled jointly (n, k, result), preserving their
     correlations: each repetition hands ``estimator`` the drawn record
-    indices, which it applies with ``data.subset(indices)`` or as draw
-    counts ``np.bincount(indices, minlength=len(data))``.  Each repetition
+    indices, which it applies with ``data.subset(indices)`` or passes to an
+    ML problem's ``resample(indices)``.  Each repetition
     draws from its own deterministic substream, so the report depends only
     on (data, seed).  Repetitions that fail with a toolkit error or a
     linear-algebra error are skipped; more than ``max_failure_fraction`` of

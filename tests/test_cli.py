@@ -39,6 +39,15 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="bootstrap"):
             ScenarioConfig.from_dict(payload)
 
+    def test_averaging_rejects_bootstrap_reps(self):
+        # averaging bars are analytic, so a repetition count would be ignored
+        payload = scenario_config("qubit-sampled")
+        payload.update(strategy="averaging", bootstrap_reps=30)
+        with pytest.raises(ValueError, match="bootstrap_reps"):
+            ScenarioConfig.from_dict(payload)
+        payload["bootstrap_reps"] = 0
+        assert ScenarioConfig.from_dict(payload).bootstrap_reps == 0
+
     def test_ml_needs_samples(self):
         payload = scenario_config("fig4")
         payload["exact_probabilities"] = True
@@ -123,6 +132,7 @@ class TestRun:
     def test_noisy_tomographer_with_correction(self, tmp_path):
         cfg = small_sampled_config(
             strategy="averaging",
+            bootstrap_reps=0,
             n_records=50_000,
             noise={"kind": "depolarizing", "p": 0.3},
         )
@@ -132,7 +142,7 @@ class TestRun:
         assert coverage["fraction_within_5"] >= 0.9
 
     def test_save_dataset_flag(self, tmp_path):
-        cfg = small_sampled_config(save_dataset=True, strategy="averaging")
+        cfg = small_sampled_config(save_dataset=True, strategy="averaging", bootstrap_reps=0)
         report = run(cfg, tmp_path)
         assert (tmp_path / "dataset.csv").exists()
         assert (tmp_path / "dataset.json").exists()
@@ -141,15 +151,19 @@ class TestRun:
 
     @pytest.mark.properties
     @pytest.mark.parametrize(
-        "strategy, files",
+        "strategy, reps, files",
         [
-            ("averaging", ["averaging_reconstruction.csv"]),
-            ("both", ["averaging_reconstruction.csv", "ml_reconstruction.csv", "ml_result.json"]),
+            ("averaging", 0, ["averaging_reconstruction.csv"]),
+            (
+                "both",
+                8,
+                ["averaging_reconstruction.csv", "ml_reconstruction.csv", "ml_result.json"],
+            ),
         ],
         ids=["averaging", "both"],
     )
-    def test_byte_identical_reruns(self, tmp_path, strategy, files):
-        cfg = small_sampled_config(strategy=strategy)
+    def test_byte_identical_reruns(self, tmp_path, strategy, reps, files):
+        cfg = small_sampled_config(strategy=strategy, bootstrap_reps=reps)
         run(cfg, tmp_path / "a")
         run(cfg, tmp_path / "b")
         for name in ["report.json", "config.json", *files]:

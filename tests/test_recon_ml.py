@@ -13,7 +13,9 @@ from povmcal.recon_ml import (
     FiniteMlProblem,
     build_problem_diagonal,
     build_problem_finite,
+    _face_block,
     _feasible_steplength,
+    _hermitian_basis,
     _newton_point,
     _outcome_rows,
     log_likelihood,
@@ -145,7 +147,7 @@ class TestMaximizeFinite:
         }
 
         def rerun(indices):
-            res = maximize(problem.resample(np.bincount(indices, minlength=len(data))))
+            res = maximize(problem.resample(indices))
             stacked = np.stack(res.povm_hat.elements)
             return np.concatenate([np.real(stacked).ravel(), np.imag(stacked).ravel()])
 
@@ -249,8 +251,7 @@ class TestMaximizeDiagonal:
         truth = povm.diagonal()
 
         def rerun(indices):
-            resampled = problem.resample(np.bincount(indices, minlength=len(data)))
-            res = maximize(resampled, min_ll_increase=1e-7, max_iters=2000)
+            res = maximize(problem.resample(indices), min_ll_increase=1e-7, max_iters=2000)
             return res.povm_hat.diagonal().ravel()
 
         report = bootstrap(data, rerun, n_reps=8, seed=10)
@@ -332,7 +333,7 @@ class TestResample:
     def test_diagonal_matches_rebuilt_subset(self):
         problem, data, state = self.diagonal()
         indices, counts = _resample_counts(data, 21)
-        resampled = problem.resample(counts)
+        resampled = problem.resample(indices)
         rebuilt = build_problem_diagonal(data.subset(indices), state, HQ, fock_cutoff=14)
         assert resampled.outcomes == rebuilt.outcomes == problem.outcomes
         assert len(resampled.rows) == np.count_nonzero(counts)
@@ -347,7 +348,7 @@ class TestResample:
     def test_diagonal_records_are_the_subsets_as_multisets(self):
         problem, data, state = self.diagonal()
         indices, counts = _resample_counts(data, 23)
-        resampled = problem.resample(counts)
+        resampled = problem.resample(indices)
         rebuilt = build_problem_diagonal(data.subset(indices), state, HQ, fock_cutoff=14)
         assert resampled.responses.shape == rebuilt.responses.shape == (len(data), problem.dim)
         # the response table is one matrix product, so rows computed in another
@@ -356,7 +357,7 @@ class TestResample:
             _rows_by_outcome(resampled), _rows_by_outcome(rebuilt), rtol=1e-12, atol=0.0
         )
         # unit draw counts give back the point problem's own rows
-        whole = problem.resample(np.ones(len(data), dtype=np.int64))
+        whole = problem.resample(np.arange(len(data)))
         assert whole.responses is whole.rows
         np.testing.assert_array_equal(whole.rows, problem.rows)
         np.testing.assert_array_equal(whole.outcome_index, problem.outcome_index)
@@ -380,11 +381,37 @@ class TestResample:
     def test_finite_count_tensor_matches_rebuilt_subset(self):
         problem, povm, data, state, quorum = make_finite_problem(n_records=20_000, seed=7)
         indices, counts = _resample_counts(data, 25)
-        resampled = problem.resample(counts)
+        resampled = problem.resample(indices)
         rebuilt = build_problem_finite(data.subset(indices), state, quorum)
         assert rebuilt.outcomes == resampled.outcomes
         np.testing.assert_array_equal(resampled.counts, rebuilt.counts)
         assert problem.cells.itemsize == 1
+
+    @pytest.mark.parametrize("kind", ["diagonal", "finite"])
+    @pytest.mark.parametrize("draw", ["whole", "lower_half"])
+    def test_indices_give_exactly_the_draw_counts(self, kind, draw):
+        # reference: the count form, dataset record i weighted by its draw count
+        if kind == "diagonal":
+            problem, data, _ = self.diagonal()
+        else:
+            problem, _, data, *_ = make_finite_problem(n_records=20_000, seed=9)
+        # drawing from the lower half only leaves the last records undrawn
+        high = len(data) if draw == "whole" else len(data) // 2
+        indices = np.random.default_rng(26).integers(0, high, len(data))
+        counts = np.bincount(indices, minlength=len(data))
+        resampled = problem.resample(indices)
+        if kind == "finite":
+            expected = np.bincount(problem.cells, weights=counts, minlength=problem.counts.size)
+            assert resampled.counts.dtype == problem.counts.dtype
+            np.testing.assert_array_equal(resampled.counts, expected.reshape(problem.counts.shape))
+            return
+        multiplicity = counts.astype(float)[problem.record]
+        drawn = np.flatnonzero(multiplicity)
+        assert resampled.multiplicity.dtype == problem.multiplicity.dtype
+        np.testing.assert_array_equal(resampled.multiplicity, multiplicity[drawn])
+        np.testing.assert_array_equal(resampled.record, problem.record[drawn])
+        np.testing.assert_array_equal(resampled.row_outcome, problem.row_outcome[drawn])
+        np.testing.assert_array_equal(resampled.rows, problem.rows[drawn])
 
     @pytest.mark.parametrize("kind", ["diagonal", "finite"])
     def test_missing_outcome_solves_to_zero(self, kind):
@@ -394,8 +421,9 @@ class TestResample:
             problem, _, data, *_ = make_finite_problem(n_records=5_000, seed=8)
         labels = np.asarray(problem.outcomes[:-1])
         dropped = labels[1]
+        # every record drawn twice, except those of one outcome
         counts = np.where(data.outcome_n == dropped, 0, 2)
-        result = maximize(problem.resample(counts))
+        result = maximize(problem.resample(np.repeat(np.arange(len(data)), counts)))
         values = np.stack([np.asarray(p) for p in result.povm_hat.elements])
         row = problem.outcomes.index(int(dropped))
         assert result.converged
@@ -437,6 +465,20 @@ class TestAcceleratedStep:
 
 
 class TestNewtonCandidate:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_face_block_matches_the_four_operand_contraction(self, dim):
+        rng = np.random.default_rng(dim)
+        basis = _hermitian_basis(dim)
+        shape = (200, dim, dim)
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        _, u = np.linalg.eigh(g + g.conj().transpose(0, 2, 1))
+        # projectors onto random subsets of eigen-directions, empty and full included
+        pinned = rng.random((shape[0], dim)) < 0.5
+        pinned[0], pinned[1] = False, True
+        face = (u * pinned[:, None, :]) @ u.conj().transpose(0, 2, 1)
+        expected = np.real(np.einsum("aij,njk,bkl,nli->nab", basis, face, basis, face))
+        assert np.abs(_face_block(basis, face) - expected).max() <= 1e-15
+
     def test_one_step_from_a_near_optimal_interior_point_cuts_the_gap(self):
         problem, *_ = make_finite_problem(n_records=50_000, seed=0)
         near = maximize(problem, gap_tol=1.0, accelerate=False)
@@ -496,7 +538,7 @@ class TestNewtonCandidate:
                         indices = np.random.default_rng([data_seed, 2, rep]).integers(
                             0, len(data), len(data)
                         )
-                        problems.append(problem.resample(np.bincount(indices, minlength=len(data))))
+                        problems.append(problem.resample(indices))
                     for p in problems:
                         result = maximize(p)
                         assert result.converged, (detector_seed, noise, data_seed, result.ll_gap)
