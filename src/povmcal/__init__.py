@@ -3,8 +3,9 @@
 Simulate joint measurement records from a known bipartite state, a
 ground-truth detector POVM and a tomographer quorum, then reconstruct the
 POVM from the records alone — either by linear averaging through the
-inverted input map or by constrained maximum likelihood — with bootstrap
-error bars and a config-driven experiment runner.
+inverted input map, with analytic error bars, or by constrained maximum
+likelihood, with bootstrap error bars — and a config-driven experiment
+runner.
 """
 
 from .detectors import (
@@ -43,7 +44,6 @@ from .recon_ml import (
     MlResult,
     build_problem_diagonal,
     build_problem_finite,
-    log_likelihood,
     maximize,
 )
 from .sampler import Dataset, sample_finite, sample_homodyne_twinbeam
@@ -86,7 +86,6 @@ __all__ = [
     "estimate_conditioned_homodyne",
     "fock_quadrature_table",
     "homodyne_quorum",
-    "log_likelihood",
     "maximally_entangled",
     "maximize",
     "noise_map_from_superoperator",

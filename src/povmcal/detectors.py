@@ -8,10 +8,10 @@ in front of an ideal counter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import qmath
 from .errors import DimensionMismatchError, PovmInvariantError, TailMassError
@@ -104,27 +104,22 @@ def thermal_tail_mass(nu: float, cutoff: int) -> float:
     return float((nu / (1.0 + nu)) ** (cutoff + 1))
 
 
+def _binomial_table(p: float, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """C(top, bottom) p^bottom (1-p)^(top-bottom) from exact integer binomials.
+
+    ``math.comb`` is 0 where bottom > top, and ``0.0**0 == 1.0`` keeps the
+    p = 0 and p = 1 tables exact.
+    """
+    comb = np.frompyfunc(math.comb, 2, 1)(top, bottom).astype(float)
+    return comb * p**bottom * (1.0 - p) ** np.maximum(top - bottom, 0)
+
+
 def binomial_loss_matrix(eta: float, dim_in: int, dim_out: int | None = None) -> np.ndarray:
     """Transition matrix L[j, n] = C(n,j) eta^j (1-eta)^(n-j) of a pure-loss channel."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     dim_out = dim_in if dim_out is None else dim_out
-    if eta == 1.0:
-        return np.eye(dim_out, dim_in)
-    if eta == 0.0:
-        out = np.zeros((dim_out, dim_in))
-        out[0, :] = 1.0
-        return out
-    n = np.arange(dim_in)[None, :]
-    j = np.arange(dim_out)[:, None]
-    log_p = (
-        gammaln(n + 1)
-        - gammaln(j + 1)
-        - gammaln(n - j + 1)
-        + j * np.log(eta)
-        + (n - j) * np.log1p(-eta)
-    )
-    return np.where(j <= n, np.exp(log_p), 0.0)
+    return _binomial_table(eta, np.arange(dim_in)[None, :], np.arange(dim_out)[:, None])
 
 
 def amplifier_matrix(gain: float, dim_in: int, dim_out: int | None = None) -> np.ndarray:
@@ -137,18 +132,8 @@ def amplifier_matrix(gain: float, dim_in: int, dim_out: int | None = None) -> np
     if gain < 1.0:
         raise ValueError("gain must be >= 1")
     dim_out = dim_in if dim_out is None else dim_out
-    if gain == 1.0:
-        return np.eye(dim_out, dim_in)
-    k = np.arange(dim_out)[:, None]
-    j = np.arange(dim_in)[None, :]
-    log_p = (
-        gammaln(k + 1)
-        - gammaln(j + 1)
-        - gammaln(k - j + 1)
-        + (j + 1) * np.log(1.0 / gain)
-        + (k - j) * np.log1p(-1.0 / gain)
-    )
-    return np.where(k >= j, np.exp(log_p), 0.0)
+    p = 1.0 / gain
+    return p * _binomial_table(p, np.arange(dim_out)[:, None], np.arange(dim_in)[None, :])
 
 
 def photocounter_response(

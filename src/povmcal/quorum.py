@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
+from .detectors import binomial_loss_matrix
 from .errors import (
     DimensionMismatchError,
     KernelConstructionError,
@@ -25,10 +26,9 @@ from .qmath import ComplexOperator
 
 @dataclass(frozen=True)
 class QuorumSetting:
-    """One tunable observable: orthonormal eigenvectors (rows) with real labels."""
+    """One tunable observable: orthonormal eigenvectors (rows)."""
 
     vectors: np.ndarray
-    labels: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -37,10 +37,6 @@ class QuorumSetting:
     @property
     def n_outcomes(self) -> int:
         return self.vectors.shape[0]
-
-    def projector(self, m: int) -> ComplexOperator:
-        v = self.vectors[m]
-        return np.outer(v, v.conj())
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,7 @@ class FiniteQuorum:
         )
 
 
-def finite_quorum(settings_vectors, labels=None) -> FiniteQuorum:
+def finite_quorum(settings_vectors) -> FiniteQuorum:
     """Build a quorum from per-setting eigenvector arrays, checking orthonormality."""
     settings = []
     for idx, vectors in enumerate(settings_vectors):
@@ -79,8 +75,7 @@ def finite_quorum(settings_vectors, labels=None) -> FiniteQuorum:
             raise NotAQuorumError(
                 f"setting {idx} eigenvectors not orthonormal: deviation {deviation:.3e}"
             )
-        lab = np.arange(v.shape[0], dtype=float) if labels is None else np.asarray(labels[idx], dtype=float)
-        settings.append(QuorumSetting(v, lab))
+        settings.append(QuorumSetting(v))
     d = settings[0].dim
     stacked = np.concatenate(
         [np.einsum("mi,mj->mij", s.vectors, s.vectors.conj()) for s in settings]
@@ -90,13 +85,12 @@ def finite_quorum(settings_vectors, labels=None) -> FiniteQuorum:
 
 
 def pauli_quorum() -> FiniteQuorum:
-    """Qubit quorum from the three Pauli eigenbases (labels +1/-1)."""
+    """Qubit quorum from the three Pauli eigenbases."""
     s = 1.0 / np.sqrt(2.0)
     x_basis = np.array([[s, s], [s, -s]], dtype=complex)
     y_basis = np.array([[s, 1j * s], [s, -1j * s]], dtype=complex)
     z_basis = np.eye(2, dtype=complex)
-    labels = [[1.0, -1.0]] * 3
-    return finite_quorum([x_basis, y_basis, z_basis], labels)
+    return finite_quorum([x_basis, y_basis, z_basis])
 
 
 def random_basis_quorum(dim: int, n_settings: int, seed: int) -> FiniteQuorum:
@@ -211,8 +205,6 @@ def smeared_fock_pdf_table(max_m: int, eta_h: float, xs) -> np.ndarray:
     psi2 = qmath.fock_quadrature_table(max_m, np.sqrt(eta_h) * xs) ** 2
     if eta_h == 1.0:
         return psi2
-    from .detectors import binomial_loss_matrix  # local import avoids cycle
-
     mix = binomial_loss_matrix(eta_h, max_m + 1)  # mix[j, m] = Binom(j; m, eta)
     return np.sqrt(eta_h) * (mix.T @ psi2)
 

@@ -1,10 +1,10 @@
 """Averaging reconstruction: estimate conditioned tomographer states from
 quorum averages, then recover POVM elements through the inverse input map.
 
-The estimators here are plain linear averages — unbiased, with per-entry
-standard errors — and their output is deliberately *not* projected onto
-the POVM cone.  Constraint enforcement is the job of the maximum-likelihood
-module; an optional post-projection is provided for downstream consumers.
+The estimators here are plain linear averages — unbiased, with analytic
+per-entry standard errors — and their output is deliberately *not*
+projected onto the POVM cone.  Constraint enforcement is the job of the
+maximum-likelihood module.
 """
 
 from __future__ import annotations
@@ -148,7 +148,6 @@ class PovmEstimate:
     values: np.ndarray
     stderr: np.ndarray
     p_hat: np.ndarray
-    subspace: str
     completeness_deviation: float
     min_eigenvalue: float
 
@@ -212,26 +211,7 @@ def recover_povm(estimates: list[ConditionedEstimate], map_r: MapROperator) -> P
         values_arr,
         np.stack(errors),
         np.asarray(p_hat),
-        "diagonal" if diagonal else "full",
         completeness,
         min_eig,
     )
 
-
-def project_to_povm(estimate: PovmEstimate) -> Povm:
-    """Optional post-projection: clip negative eigenvalues, renormalize to
-    completeness.  Biased; never used by the estimation tests themselves."""
-    if estimate.subspace == "diagonal":
-        clipped = np.clip(estimate.values, 0.0, None)
-        column_sums = clipped.sum(axis=0)
-        column_sums[column_sums == 0.0] = 1.0
-        normalized = clipped / column_sums
-        return Povm(tuple(np.diag(row.astype(complex)) for row in normalized))
-    clipped = []
-    for v in estimate.values:
-        h = (v + v.conj().T) / 2.0
-        w, u = np.linalg.eigh(h)
-        clipped.append((u * np.clip(w, 0.0, None)) @ u.conj().T)
-    total = sum(clipped)
-    correction = qmath.hermitian_inverse_sqrt(total)
-    return Povm(tuple(correction @ c @ correction for c in clipped))

@@ -466,12 +466,6 @@ class MlResult:
             fh.write("\n")
 
 
-def log_likelihood(povm: Povm, problem) -> float:
-    """Joint log-likelihood of a POVM (records with vanishing probability
-    contribute log(1e-300) instead of -inf)."""
-    return problem.log_likelihood(problem.from_povm(povm))
-
-
 def maximize(
     problem,
     init: Povm | None = None,

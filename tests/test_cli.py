@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import povmcal
 from povmcal.cli import RunReport, ScenarioConfig, emit_plot_data, main, run
 from povmcal.errors import ScenarioAbort
 from povmcal.scenarios import list_scenarios, scenario_config
@@ -201,6 +206,30 @@ class TestRun:
         header = (tmp_path / "plots" / "averaging_k0.csv").read_text().splitlines()[0]
         assert header == "n,estimate,stderr,theory"
         assert (tmp_path / "kernels.csv").exists()
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # in a fresh interpreter: this process has SciPy loaded through the oracles
+    script = f"""
+import sys
+from povmcal import cli
+from povmcal.scenarios import scenario_config
+fig2 = scenario_config("fig2")
+fig2["n_records"] = 2000
+cli.run(cli.ScenarioConfig.from_dict(fig2), {str(tmp_path / "fig2")!r})
+qubit = scenario_config("qubit-sampled")
+cli.run(cli.ScenarioConfig.from_dict(qubit), {str(tmp_path / "qubit")!r})
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    paths = [str(Path(povmcal.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "fig2" / "report.json").exists()
+    assert (tmp_path / "qubit" / "report.json").exists()
 
 
 class TestEmitPlotData:

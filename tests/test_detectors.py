@@ -1,9 +1,14 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmcal.detectors import (
+    amplifier_matrix,
+    binomial_loss_matrix,
     noisy_photocounter,
     photocounter_response,
     projective_povm,
@@ -36,6 +41,59 @@ class TestProjectivePovm:
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         q, _ = np.linalg.qr(g)
         projective_povm(q.T).validate()
+
+
+def exact_channel(kind, param, dim_in, dim_out):
+    """The loss or amplifier matrix in rational arithmetic, rounded once.
+
+    loss: L[j, n] = C(n, j) eta^j (1-eta)^(n-j); amplifier: A[k, j] =
+    C(k, j) p^(j+1) (1-p)^(k-j) with p = 1/G.  The float parameter is
+    taken at its exact binary value.
+    """
+    p = Fraction(param) if kind == "loss" else 1 / Fraction(param)
+    scale = 1 if kind == "loss" else p
+    out = np.zeros((dim_out, dim_in))
+    for row in range(dim_out):
+        for col in range(dim_in):
+            top, bottom = (col, row) if kind == "loss" else (row, col)
+            if bottom <= top:
+                exact = scale * comb(top, bottom) * p**bottom * (1 - p) ** (top - bottom)
+                out[row, col] = float(exact)
+    return out
+
+
+CHANNELS = {"loss": binomial_loss_matrix, "amplifier": amplifier_matrix}
+
+
+class TestBinomialChannels:
+    @pytest.mark.parametrize(
+        "kind, param, dim_in, dim_out",
+        [("loss", 0.9, 37, 37), ("loss", 0.3, 90, 90), ("amplifier", 1.2, 55, 85)],
+    )
+    def test_matches_rational_arithmetic(self, kind, param, dim_in, dim_out):
+        got = CHANNELS[kind](param, dim_in, dim_out)
+        want = exact_channel(kind, param, dim_in, dim_out)
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        nonzero = want != 0.0
+        np.testing.assert_allclose(got[nonzero], want[nonzero], rtol=2e-14, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "kind, param, dim_in, dim_out",
+        [
+            ("loss", 0.0, 6, 6),
+            ("loss", 1.0, 6, 6),
+            ("loss", 0.0, 4, 7),
+            ("loss", 1.0, 7, 4),
+            ("loss", 0.5, 7, 4),
+            ("amplifier", 1.0, 6, 6),
+            ("amplifier", 1.0, 4, 7),
+            ("amplifier", 2.0, 4, 7),
+        ],
+    )
+    def test_exact_where_every_factor_is_exact(self, kind, param, dim_in, dim_out):
+        # 0, 1 and powers of 1/2 leave nothing to round
+        got = CHANNELS[kind](param, dim_in, dim_out)
+        np.testing.assert_array_equal(got, exact_channel(kind, param, dim_in, dim_out))
 
 
 class TestNoisyPhotocounter:

@@ -16,7 +16,6 @@ from povmcal.recon_avg import (
     estimate_conditioned_finite,
     estimate_conditioned_finite_exact,
     estimate_conditioned_homodyne,
-    project_to_povm,
     recover_povm,
 )
 from povmcal.sampler import sample_finite, sample_homodyne_twinbeam
@@ -307,28 +306,3 @@ class TestRecoverPovm:
         combined = np.sqrt((recovered.stderr**2).sum(axis=0))
         assert np.all(np.abs(total - np.eye(2)) < 5 * combined)
 
-
-def test_project_to_povm_restores_invariants():
-    state = maximally_entangled(2)
-    povm = random_povm(2, 3, seed=10)
-    quorum = pauli_quorum()
-    duals = compute_dual_set(quorum)
-    map_r = build_map_R(state)
-    data = sample_finite(state, povm, quorum, 2_000, seed=11)
-    estimates = estimate_conditioned_finite(data, quorum, duals)
-    recovered = recover_povm(estimates, map_r)
-    projected = project_to_povm(recovered)
-    projected.validate(herm_tol=1e-10, eig_tol=-1e-9, completeness_tol=1e-8)
-
-
-def test_project_to_povm_diagonal():
-    values = np.array([[0.7, -0.05, 1.1], [0.4, 1.0, 0.05]])
-    from povmcal.recon_avg import PovmEstimate
-
-    estimate = PovmEstimate(
-        (0, 1), values, np.zeros_like(values), np.array([0.5, 0.5]), "diagonal", 0.1, -0.05
-    )
-    povm = project_to_povm(estimate)
-    diag = povm.diagonal()
-    assert diag.min() >= 0.0
-    np.testing.assert_allclose(diag.sum(axis=0), 1.0, atol=1e-12)

@@ -18,7 +18,6 @@ from povmcal.recon_ml import (
     _hermitian_basis,
     _newton_point,
     _outcome_rows,
-    log_likelihood,
     maximize,
 )
 from povmcal.sampler import Dataset, joint_probability_tables, sample_finite, sample_homodyne_twinbeam
@@ -61,7 +60,9 @@ class TestLogLikelihood:
             (0,),
             2,
         )
-        ll = log_likelihood(Povm((np.eye(2, dtype=complex),)), identity_problem)
+        ll = identity_problem.log_likelihood(
+            identity_problem.from_povm(Povm((np.eye(2, dtype=complex),)))
+        )
         # direct: sum over records of log p_tomo(k_i, m_i)
         tomo_probs = np.real(np.einsum("kmii->km", problem.effects))
         direct = float(
@@ -84,7 +85,7 @@ class TestLogLikelihood:
 
     def test_truth_beats_perturbations_on_expected_counts(self):
         problem, povm = expected_count_problem()
-        ll_truth = log_likelihood(povm, problem)
+        ll_truth = problem.log_likelihood(problem.from_povm(povm))
         rng = np.random.default_rng(5)
         worse = 0
         lls = []
@@ -96,7 +97,7 @@ class TestLogLikelihood:
                     (1 - eps) * p + eps * q for p, q in zip(povm.elements, other.elements)
                 )
             )
-            lls.append(log_likelihood(mixed, problem))
+            lls.append(problem.log_likelihood(problem.from_povm(mixed)))
             if lls[-1] <= ll_truth:
                 worse += 1
         assert ll_truth >= np.mean(lls)
@@ -109,7 +110,7 @@ class TestMaximizeFinite:
         result = maximize(problem, init=povm, max_iters=50)
         assert result.converged
         assert result.iterations <= 1
-        ll0 = log_likelihood(povm, problem)
+        ll0 = problem.log_likelihood(problem.from_povm(povm))
         assert result.final_log_likelihood - ll0 <= 1e-9
         for p_hat, p in zip(result.povm_hat.elements, povm.elements):
             np.testing.assert_allclose(p_hat, p, atol=1e-8)
