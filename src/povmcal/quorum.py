@@ -23,6 +23,9 @@ from .errors import (
 )
 from .qmath import ComplexOperator
 
+# kernel-table rows converted to Python floats at a time by the CSV export
+_EXPORT_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class QuorumSetting:
@@ -202,11 +205,14 @@ def smeared_fock_pdf_table(max_m: int, eta_h: float, xs) -> np.ndarray:
     if not 0.0 < eta_h <= 1.0:
         raise ValueError("eta_h must lie in (0, 1]")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    psi2 = qmath.fock_quadrature_table(max_m, np.sqrt(eta_h) * xs) ** 2
+    psi2 = qmath.fock_quadrature_table(max_m, np.sqrt(eta_h) * xs)
+    np.square(psi2, out=psi2)
     if eta_h == 1.0:
         return psi2
     mix = binomial_loss_matrix(eta_h, max_m + 1)  # mix[j, m] = Binom(j; m, eta)
-    return np.sqrt(eta_h) * (mix.T @ psi2)
+    q = mix.T @ psi2
+    q *= np.sqrt(eta_h)
+    return q
 
 
 @dataclass(frozen=True)
@@ -242,7 +248,12 @@ class KernelTable:
         pos = np.clip((xs - self.x_min) / self.step, 0.0, self.values.shape[1] - 1.0)
         left = np.minimum(pos.astype(np.int64), self.values.shape[1] - 2)
         frac = pos - left
-        vals = self.values[:, left] * (1.0 - frac) + self.values[:, left + 1] * frac
+        # two (n_kernels, len(xs)) buffers, updated in place
+        vals = self.values[:, left]
+        vals *= 1.0 - frac
+        right = self.values[:, left + 1]
+        right *= frac
+        vals += right
         vals *= inside
         return vals, inside
 
@@ -328,6 +339,10 @@ def export_kernels_csv(table: KernelTable, path) -> None:
     """Write the kernel table as CSV with columns x, K_0 ... K_M."""
     # the bytes csv.writer gives for these cells, CRLF line ends included
     row = ",".join(["%.17g"] * (table.n_kernels + 1)) + "\r\n"
+    cells = np.column_stack([table.grid, table.values.T])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["x"] + [f"K_{m}" for m in range(table.n_kernels)]) + "\r\n")
-        fh.writelines(row % tuple(r) for r in np.column_stack([table.grid, table.values.T]))
+        # Python floats format faster than numpy scalars and print the same
+        # digits; chunks keep the converted rows small
+        for lo in range(0, len(cells), _EXPORT_CHUNK):
+            fh.writelines(row % tuple(r) for r in cells[lo : lo + _EXPORT_CHUNK].tolist())

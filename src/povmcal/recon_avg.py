@@ -17,7 +17,7 @@ from . import qmath
 from .detectors import Povm
 from .errors import UnsupportedStructureError
 from .quorum import DualSet, FiniteQuorum, HomodyneQuorum, NoiseMap, noise_corrected_duals
-from .sampler import Dataset, joint_probability_tables
+from .sampler import Dataset, group_by_label, joint_probability_tables
 from .states import BipartiteState, MapROperator
 
 
@@ -116,14 +116,15 @@ def estimate_conditioned_homodyne(
     """
     if data.kind != "homodyne":
         raise UnsupportedStructureError("homodyne estimator requires homodyne data")
-    values, inside = hq.kernel_table.evaluate(data.result)  # (M+1, N)
-    clipped_fraction = float(1.0 - inside.mean()) if len(data) else 0.0
     total = len(data)
+    n_inside = 0
     estimates = []
-    for n in np.unique(data.outcome_n):
-        sel = data.outcome_n == n
-        count = int(sel.sum())
-        block = values[:, sel]
+    # one outcome's (M+1, count) kernel block at a time, records in data order
+    labels, order, bounds = group_by_label(data.outcome_n)
+    for n, lo, hi in zip(labels, bounds[:-1], bounds[1:]):
+        block, inside = hq.kernel_table.evaluate(data.result[order[lo:hi]])
+        n_inside += int(inside.sum())
+        count = int(hi - lo)
         mean = block.mean(axis=1)
         stderr = block.std(axis=1, ddof=1) / np.sqrt(count) if count > 1 else np.full(
             mean.shape, np.inf
@@ -131,6 +132,8 @@ def estimate_conditioned_homodyne(
         estimates.append(
             ConditionedEstimate(int(n), count / total, count, mean, stderr)
         )
+        del block  # before the next group's block is built
+    clipped_fraction = 1.0 - n_inside / total if total else 0.0
     return estimates, clipped_fraction
 
 

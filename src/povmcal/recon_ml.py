@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .quorum import FiniteQuorum, HomodyneQuorum, smeared_fock_pdf_table
-from .sampler import Dataset
+from .sampler import Dataset, group_by_label
 from .states import BipartiteState
 
 LOG_FLOOR = 1e-300
@@ -352,12 +352,17 @@ def _hermitian_basis(dim: int) -> np.ndarray:
     return np.stack(basis)
 
 
-def _outcome_rows(outcome_n: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """Observed outcome labels plus one catch-all label above them, and the
-    row of each record's outcome among those labels."""
-    observed = np.unique(outcome_n)
-    outcomes = tuple(int(n) for n in observed) + (int(observed.max()) + 1,)
-    return outcomes, np.searchsorted(observed, outcome_n)
+def _outcome_rows(
+    outcome_n: np.ndarray,
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Observed outcome labels plus one catch-all label above them, the row
+    of each record's outcome among those labels, and the records sorted
+    stably by row."""
+    observed, order, bounds = group_by_label(outcome_n)
+    outcomes = tuple(int(n) for n in observed) + (int(observed[-1]) + 1,)
+    rows = np.empty(outcome_n.size, dtype=np.intp)
+    rows[order] = np.repeat(np.arange(observed.size), np.diff(bounds))
+    return outcomes, rows, order
 
 
 def build_problem_diagonal(
@@ -387,20 +392,19 @@ def build_problem_diagonal(
             f"{weight_tail_tol:.1e}"
         )
     weights = full_weights[: fock_cutoff + 1]
-    q = smeared_fock_pdf_table(fock_cutoff, hq.eta_h, data.result)  # (M+1, N)
-    responses = (q * weights[:, None]).T
+    # one column per record, scaled in place to w_m q_m(x)
+    responses = smeared_fock_pdf_table(fock_cutoff, hq.eta_h, data.result)
+    responses *= weights[:, None]
     if not np.isfinite(responses).all() or responses.min() < 0.0:
         raise NumericalValidityError("response rows must be finite and nonnegative")
+
+    outcomes, rows, order = _outcome_rows(data.outcome_n)
     # records whose response underflowed to zero everywhere carry no
     # information about theta; keeping them would destabilize the updates
-    record = np.flatnonzero(responses.sum(axis=1) > 0.0)
-
-    outcomes, rows = _outcome_rows(data.outcome_n)
-    # a stable sort keeps record order within each outcome's block
-    record = record[np.argsort(rows[record], kind="stable")]
+    record = order[(responses.sum(axis=0) > 0.0)[order]]
     return DiagonalMlProblem(
         weights,
-        np.ascontiguousarray(responses[record]),
+        responses.T[record],
         rows[record],
         outcomes,
         fock_cutoff + 1,
@@ -426,7 +430,7 @@ def build_problem_finite(
         # T_km[a, b] = <m| Tr_1-dual |...>: contraction over tomographer indices
         effects[k] = np.einsum("mp,apbq,mq->mab", setting.vectors.conj(), rho4, setting.vectors)
 
-    outcomes, rows = _outcome_rows(data.outcome_n)
+    outcomes, rows, _ = _outcome_rows(data.outcome_n)
     shape = (len(outcomes), quorum.n_settings, dt)
     size = int(np.prod(shape))
     # the smallest unsigned type that holds every cell keeps the index compact

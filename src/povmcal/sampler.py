@@ -62,6 +62,19 @@ class Dataset:
         )
 
 
+def group_by_label(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(keys, order, bounds)``: the distinct labels in increasing order, the
+    stable permutation that sorts ``labels``, and the bounds of each label's
+    run in it, so the records with label ``keys[g]`` are
+    ``order[bounds[g]:bounds[g + 1]]``, in record order."""
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return ordered[starts], order, np.append(starts, ordered.size)
+
+
 def _block_rngs(seed: int, stream: int, n_records: int):
     """Independent per-block generators; block boundaries are fixed, not
     worker-dependent, so assembly order is canonical.  Blocks always draw
@@ -124,10 +137,10 @@ def sample_finite(
         k = rng.integers(0, n_settings, BLOCK_SIZE)[:size]
         u = rng.random(BLOCK_SIZE)[:size]
         flat = np.empty(size, dtype=np.int64)
-        for kk in range(n_settings):
-            sel = k == kk
-            if sel.any():
-                flat[sel] = np.searchsorted(cumulative[kk], u[sel], side="right")
+        settings, order, bounds = group_by_label(k)
+        for kk, lo, hi in zip(settings, bounds[:-1], bounds[1:]):
+            sel = order[lo:hi]
+            flat[sel] = np.searchsorted(cumulative[kk], u[sel], side="right")
         sl = slice(offset, offset + size)
         ks[sl] = k
         ns[sl] = flat // d
@@ -140,13 +153,17 @@ def _quadrature_cdf_tables(max_m: int, x_lim: float, step: float):
     """Per-m CDF of psi_m(x)^2 on a uniform grid, for inverse-CDF draws."""
     n_points = int(round(2 * x_lim / step)) + 1
     xs = -x_lim + step * np.arange(n_points)
-    pdf = qmath.fock_quadrature_table(max_m, xs) ** 2
-    cdf = np.cumsum(pdf, axis=1) * step
-    cdf -= cdf[:, :1]
-    cdf /= cdf[:, -1:]
+    cdf = qmath.fock_quadrature_table(max_m, xs)
+    np.square(cdf, out=cdf)
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf *= step
+    # column copies: an operand overlapping the output would make numpy
+    # buffer a copy of the whole table
+    cdf -= cdf[:, :1].copy()
+    cdf /= cdf[:, -1:].copy()
     # strictly increasing CDF keeps np.interp well-defined in flat tails
     cdf += np.linspace(0.0, 1e-12, n_points)
-    cdf /= cdf[:, -1:]
+    cdf /= cdf[:, -1:].copy()
     return xs, cdf
 
 
@@ -198,8 +215,9 @@ def sample_homodyne_twinbeam(
         m = np.searchsorted(cum_w, u_pair, side="right")
         n = np.empty(size, dtype=np.int64)
         x = np.empty(size, dtype=np.float64)
-        for mm in np.unique(m):
-            sel = m == mm
+        levels, order, bounds = group_by_label(m)
+        for mm, lo, hi in zip(levels, bounds[:-1], bounds[1:]):
+            sel = order[lo:hi]
             n[sel] = np.searchsorted(outcome_cum[mm], u_out[sel], side="right")
             x[sel] = np.interp(u_x[sel], cdf[mm], xs_grid)
         if sigma > 0.0:

@@ -3,10 +3,19 @@
 Everything here is deliberately slow and explicit (index loops, matrix
 exponentials, numerical quadrature) so that it exercises none of the
 production code paths it is used to check.
+
+The last section keeps former implementations of code that was rewritten
+to use less memory: one boolean mask per label instead of grouped records,
+and full-size temporaries instead of in-place updates.  The rewrites do the
+same floating-point operations in the same order, so tests require them to
+match these bit for bit.
 """
 
 import numpy as np
 from scipy.linalg import expm
+
+from povmcal import qmath, sampler
+from povmcal.detectors import binomial_loss_matrix
 
 
 def kron_loop(a, b):
@@ -118,3 +127,125 @@ def random_density(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho)
+
+
+# --- former implementations ---------------------------------------------------
+
+
+def former_sample_finite(state, povm, quorum, n_records, seed):
+    """(outcome_n, setting_k, result) of ``sampler.sample_finite``, one mask per setting."""
+    tables = sampler.joint_probability_tables(state, povm, quorum)
+    n_settings, n_out, d = tables.shape
+    cumulative = tables.reshape(n_settings, n_out * d).cumsum(axis=1)
+    cumulative[:, -1] = 1.0
+    ns, ks, ms = [], [], []
+    for rng, size in sampler._block_rngs(seed, sampler._STREAM_FINITE, n_records):
+        k = rng.integers(0, n_settings, sampler.BLOCK_SIZE)[:size]
+        u = rng.random(sampler.BLOCK_SIZE)[:size]
+        flat = np.empty(size, dtype=np.int64)
+        for kk in range(n_settings):
+            sel = k == kk
+            if sel.any():
+                flat[sel] = np.searchsorted(cumulative[kk], u[sel], side="right")
+        ks.append(k)
+        ns.append(flat // d)
+        ms.append(flat % d)
+    return np.concatenate(ns), np.concatenate(ks), np.concatenate(ms)
+
+
+def former_quadrature_cdf_tables(max_m, x_lim, step):
+    n_points = int(round(2 * x_lim / step)) + 1
+    xs = -x_lim + step * np.arange(n_points)
+    pdf = qmath.fock_quadrature_table(max_m, xs) ** 2
+    cdf = np.cumsum(pdf, axis=1) * step
+    cdf -= cdf[:, :1]
+    cdf /= cdf[:, -1:]
+    cdf += np.linspace(0.0, 1e-12, n_points)
+    cdf /= cdf[:, -1:]
+    return xs, cdf
+
+
+def former_sample_homodyne_twinbeam(state, povm, hq, n_records, seed):
+    """(outcome_n, phase, x) of ``sampler.sample_homodyne_twinbeam``, one mask per pair number."""
+    weights = state.diagonal_weights()
+    max_m = weights.size - 1
+    cum_w = np.cumsum(weights)
+    cum_w[-1] = 1.0
+    outcome_cum = np.cumsum(povm.diagonal().T, axis=1)
+    outcome_cum[:, -1] = 1.0
+    x_lim = np.sqrt(2.0 * max_m + 1.0) / 2.0 + 5.0
+    xs_grid, cdf = former_quadrature_cdf_tables(max_m, x_lim, 1.0 / 512.0)
+    sigma = np.sqrt(hq.smear_sigma2)
+    ns, phases, results = [], [], []
+    for rng, size in sampler._block_rngs(seed, sampler._STREAM_HOMODYNE, n_records):
+        u_pair = rng.random(sampler.BLOCK_SIZE)[:size]
+        u_out = rng.random(sampler.BLOCK_SIZE)[:size]
+        phase = rng.random(sampler.BLOCK_SIZE)[:size] * np.pi
+        u_x = rng.random(sampler.BLOCK_SIZE)[:size]
+        noise = rng.standard_normal(sampler.BLOCK_SIZE)[:size]
+        m = np.searchsorted(cum_w, u_pair, side="right")
+        n = np.empty(size, dtype=np.int64)
+        x = np.empty(size, dtype=np.float64)
+        for mm in np.unique(m):
+            sel = m == mm
+            n[sel] = np.searchsorted(outcome_cum[mm], u_out[sel], side="right")
+            x[sel] = np.interp(u_x[sel], cdf[mm], xs_grid)
+        if sigma > 0.0:
+            x += sigma * noise
+        ns.append(n)
+        phases.append(phase)
+        results.append(x)
+    return np.concatenate(ns), np.concatenate(phases), np.concatenate(results)
+
+
+def former_kernel_evaluate(table, xs):
+    """``KernelTable.evaluate`` with its four full-size temporaries."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    inside = (xs >= table.x_min) & (xs <= table.x_max)
+    pos = np.clip((xs - table.x_min) / table.step, 0.0, table.values.shape[1] - 1.0)
+    left = np.minimum(pos.astype(np.int64), table.values.shape[1] - 2)
+    frac = pos - left
+    vals = table.values[:, left] * (1.0 - frac) + table.values[:, left + 1] * frac
+    vals *= inside
+    return vals, inside
+
+
+def former_estimate_conditioned_homodyne(data, hq):
+    """[(outcome, p_hat, count, mean, stderr)] and the clipped fraction, one mask per outcome."""
+    values, inside = former_kernel_evaluate(hq.kernel_table, data.result)
+    clipped_fraction = float(1.0 - inside.mean()) if len(data) else 0.0
+    total = len(data)
+    estimates = []
+    for n in np.unique(data.outcome_n):
+        sel = data.outcome_n == n
+        count = int(sel.sum())
+        block = values[:, sel]
+        mean = block.mean(axis=1)
+        stderr = block.std(axis=1, ddof=1) / np.sqrt(count) if count > 1 else np.full(
+            mean.shape, np.inf
+        )
+        estimates.append((int(n), count / total, count, mean, stderr))
+    return estimates, clipped_fraction
+
+
+def former_smeared_fock_pdf_table(max_m, eta_h, xs):
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    psi2 = qmath.fock_quadrature_table(max_m, np.sqrt(eta_h) * xs) ** 2
+    if eta_h == 1.0:
+        return psi2
+    mix = binomial_loss_matrix(eta_h, max_m + 1)
+    return np.sqrt(eta_h) * (mix.T @ psi2)
+
+
+def former_diagonal_rows(data, weights, eta_h):
+    """(outcomes, rows, row_outcome, record) of ``build_problem_diagonal``:
+    responses kept as a full-size product, outcomes ranked by ``np.unique``."""
+    fock_cutoff = weights.size - 1
+    q = former_smeared_fock_pdf_table(fock_cutoff, eta_h, data.result)
+    responses = (q * weights[:, None]).T
+    record = np.flatnonzero(responses.sum(axis=1) > 0.0)
+    observed = np.unique(data.outcome_n)
+    outcomes = tuple(int(n) for n in observed) + (int(observed.max()) + 1,)
+    rows = np.searchsorted(observed, data.outcome_n)
+    record = record[np.argsort(rows[record], kind="stable")]
+    return outcomes, np.ascontiguousarray(responses[record]), rows[record], record

@@ -21,7 +21,22 @@ from povmcal.quorum import (
     smeared_sigma2,
 )
 
-from oracles import quadrature_integral, random_hermitian
+from oracles import (
+    former_kernel_evaluate,
+    former_smeared_fock_pdf_table,
+    quadrature_integral,
+    random_hermitian,
+)
+
+
+def csv_writer_bytes(table, path):
+    """The kernel table as ``csv.writer`` writes it, cell by cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x"] + [f"K_{m}" for m in range(table.n_kernels)])
+        for i, x in enumerate(table.grid):
+            writer.writerow([f"{x:.17g}"] + [f"{v:.17g}" for v in table.values[:, i]])
+    return path.read_bytes()
 
 
 def reconstruct_via_duals(x, quorum, duals):
@@ -253,6 +268,24 @@ class TestDiagonalKernels:
         np.testing.assert_array_equal(values[:, 0], 0.0)
         np.testing.assert_array_equal(values[:, 2], 0.0)
 
+    @pytest.mark.parametrize("eta_h", [0.9, 1.0])
+    def test_evaluate_matches_former_temporaries(self, eta_h):
+        table = build_diagonal_kernels(6, eta_h, grid=(-6.0, 6.0, 1.0 / 256.0))
+        xs = np.random.default_rng(3).normal(0.0, 2.5, 5000)
+        xs[:4] = [table.x_min, table.x_max, -6.5, 9.0]
+        values, inside = table.evaluate(xs)
+        former_values, former_inside = former_kernel_evaluate(table, xs)
+        assert not inside[2:4].any()
+        np.testing.assert_array_equal(values, former_values)
+        np.testing.assert_array_equal(inside, former_inside)
+
+    @pytest.mark.parametrize("eta_h", [0.75, 1.0])
+    def test_smeared_table_matches_former_temporaries(self, eta_h):
+        xs = np.random.default_rng(4).normal(0.0, 2.0, 3000)
+        np.testing.assert_array_equal(
+            smeared_fock_pdf_table(20, eta_h, xs), former_smeared_fock_pdf_table(20, eta_h, xs)
+        )
+
     def test_csv_export_round_trip_shape(self, tmp_path):
         table = build_diagonal_kernels(3, 0.9, grid=(-4.0, 4.0, 1.0 / 64.0))
         path = tmp_path / "kernels.csv"
@@ -268,14 +301,15 @@ class TestDiagonalKernels:
         table = KernelTable(-0.5, 0.25, values, 1, 0.0)
         path = tmp_path / "kernels.csv"
         export_kernels_csv(table, path)
-        reference = tmp_path / "reference.csv"
-        with open(reference, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "K_0", "K_1"])
-            for i, x in enumerate(table.grid):
-                writer.writerow([f"{x:.17g}"] + [f"{v:.17g}" for v in values[:, i]])
-        assert path.read_bytes() == reference.read_bytes()
+        assert path.read_bytes() == csv_writer_bytes(table, tmp_path / "reference.csv")
         assert b"\r\n" in path.read_bytes()
+
+    def test_csv_export_of_several_chunks_matches_csv_writer_bytes(self, tmp_path):
+        values = np.random.default_rng(5).normal(0.0, 1e3, (2, 2049))
+        table = KernelTable(-0.5, 0.25, values, 1, 0.0)
+        path = tmp_path / "kernels.csv"
+        export_kernels_csv(table, path)
+        assert path.read_bytes() == csv_writer_bytes(table, tmp_path / "reference.csv")
 
 
 def test_homodyne_quorum_fields():

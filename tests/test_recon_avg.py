@@ -18,7 +18,7 @@ from povmcal.recon_avg import (
     estimate_conditioned_homodyne,
     recover_povm,
 )
-from povmcal.sampler import sample_finite, sample_homodyne_twinbeam
+from povmcal.sampler import Dataset, sample_finite, sample_homodyne_twinbeam
 from povmcal.scenarios import scenario_config
 from povmcal.states import (
     apply_noise_tomo_side,
@@ -28,6 +28,7 @@ from povmcal.states import (
     twin_beam,
 )
 
+from oracles import former_estimate_conditioned_homodyne
 from test_sampler import fock_pair_state
 
 HQ = homodyne_quorum(6, 0.9, grid=(-6.0, 6.0, 1.0 / 256.0))
@@ -139,6 +140,30 @@ class TestConditionedHomodyne:
         assert abs(est.rho_hat[0] - 1.0) < 5 * est.stderr[0]
         for m in range(1, 7):
             assert abs(est.rho_hat[m]) < 5 * est.stderr[m]
+
+    @pytest.mark.parametrize("eta_h", [0.9, 1.0])
+    def test_matches_former_mask_loop(self, eta_h):
+        hq = homodyne_quorum(6, eta_h, grid=(-6.0, 6.0, 1.0 / 256.0))
+        state = twin_beam(0.88, 54)
+        povm = noisy_photocounter(0.8, 1.0, fock_cutoff=54, env_cutoff=30)
+        sampled = sample_homodyne_twinbeam(state, povm, hq, 20_000, seed=3)
+        # unsorted labels with gaps, one outcome seen once, records off the grid
+        labels = np.array([9, 2, 40, 5])[np.minimum(sampled.outcome_n, 3)]
+        labels[12_345] = 17
+        x = sampled.result.copy()
+        x[::997] = np.where(x[::997] > 0.0, 6.5, -7.0)
+        data = Dataset(labels, sampled.setting_k, x, 3, "", "homodyne")
+
+        estimates, clipped = estimate_conditioned_homodyne(data, hq)
+        former, former_clipped = former_estimate_conditioned_homodyne(data, hq)
+        assert clipped == former_clipped > 0.0
+        assert [e.outcome_n for e in estimates] == [2, 5, 9, 17, 40]
+        assert len(estimates) == len(former)
+        for est, (n, p_hat, count, mean, stderr) in zip(estimates, former):
+            assert (est.outcome_n, est.p_hat_n, est.count) == (n, p_hat, count)
+            np.testing.assert_array_equal(est.rho_hat, mean)
+            np.testing.assert_array_equal(est.stderr, stderr)
+        assert np.isinf(estimates[3].stderr).all()
 
 
 class TestRecoverPovm:

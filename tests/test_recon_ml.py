@@ -25,6 +25,8 @@ from povmcal.scenarios import scenario_config
 from povmcal.states import apply_noise_tomo_side, maximally_entangled, twin_beam
 from povmcal.stats import bootstrap
 
+from oracles import former_diagonal_rows
+
 HQ = homodyne_quorum(6, 0.9, grid=(-6.0, 6.0, 1.0 / 256.0))
 
 
@@ -305,10 +307,37 @@ class TestCertificate:
 
 def test_outcome_rows_match_label_lookup_with_gaps():
     labels = np.array([7, 0, 3, 7, 12, 0, 3, 3, 12])
-    outcomes, rows = _outcome_rows(labels)
+    outcomes, rows, order = _outcome_rows(labels)
     assert outcomes == (0, 3, 7, 12, 13)
     index_of = {n: r for r, n in enumerate(outcomes)}
     np.testing.assert_array_equal(rows, [index_of[int(n)] for n in labels])
+    np.testing.assert_array_equal(order, [1, 5, 2, 6, 7, 0, 3, 4, 8])
+
+
+@pytest.mark.parametrize("eta_h", [0.9, 1.0])
+def test_diagonal_rows_match_former_temporaries(eta_h):
+    hq = homodyne_quorum(6, eta_h, grid=(-6.0, 6.0, 1.0 / 256.0))
+    state = twin_beam(0.88, 54)
+    povm = noisy_photocounter(0.8, 1.0, fock_cutoff=54, env_cutoff=30)
+    sampled = sample_homodyne_twinbeam(state, povm, hq, 20_000, seed=4)
+    # unsorted labels with gaps, one outcome seen once, and records whose
+    # response underflows to zero everywhere
+    labels = np.array([9, 2, 40, 5])[np.minimum(sampled.outcome_n, 3)]
+    labels[777] = 17
+    x = sampled.result.copy()
+    x[::1009] = 60.0
+    data = Dataset(labels, sampled.setting_k, x, 4, "", "homodyne")
+
+    problem = build_problem_diagonal(data, state, hq, fock_cutoff=36)
+    outcomes, rows, row_outcome, record = former_diagonal_rows(
+        data, state.diagonal_weights()[:37], eta_h
+    )
+    assert problem.outcomes == outcomes == (2, 5, 9, 17, 40, 41)
+    assert record.size == len(data) - 20
+    assert problem.rows.flags.c_contiguous
+    np.testing.assert_array_equal(problem.rows, rows)
+    np.testing.assert_array_equal(problem.row_outcome, row_outcome)
+    np.testing.assert_array_equal(problem.record, record)
 
 
 def _resample_counts(data, seed):

@@ -3,17 +3,25 @@ import pytest
 
 from povmcal.detectors import noisy_photocounter, projective_povm, random_povm
 from povmcal.errors import UnsupportedStructureError
-from povmcal.quorum import homodyne_quorum, pauli_quorum, smeared_fock_pdf_table
+from povmcal.quorum import (
+    homodyne_quorum,
+    pauli_quorum,
+    random_basis_quorum,
+    smeared_fock_pdf_table,
+)
 from povmcal.sampler import (
     Dataset,
     export_csv,
     export_sidecar,
+    group_by_label,
     import_csv,
     joint_probability_tables,
     sample_finite,
     sample_homodyne_twinbeam,
 )
 from povmcal.states import BipartiteState, maximally_entangled, twin_beam
+
+from oracles import former_sample_finite, former_sample_homodyne_twinbeam
 
 HQ_SMALL = homodyne_quorum(6, 0.9, grid=(-6.0, 6.0, 1.0 / 256.0))
 
@@ -100,6 +108,21 @@ class TestSampleFinite:
         np.testing.assert_array_equal(small.outcome_n, large.outcome_n[:1000])
 
 
+    @pytest.mark.parametrize(
+        "dim, n_outcomes, quorum",
+        [(2, 3, pauli_quorum()), (3, 4, random_basis_quorum(3, 4, seed=5))],
+    )
+    def test_matches_former_mask_loop(self, dim, n_outcomes, quorum):
+        # 70 000 records span two sampling blocks
+        state = maximally_entangled(dim)
+        povm = random_povm(dim, n_outcomes, seed=11)
+        data = sample_finite(state, povm, quorum, 70_000, seed=2024)
+        ns, ks, ms = former_sample_finite(state, povm, quorum, 70_000, seed=2024)
+        np.testing.assert_array_equal(data.outcome_n, ns)
+        np.testing.assert_array_equal(data.setting_k, ks)
+        np.testing.assert_array_equal(data.result, ms)
+
+
 class TestSampleHomodyne:
     def test_requires_diagonal_povm(self):
         state = twin_beam(0.5, 3)
@@ -184,6 +207,33 @@ class TestSampleHomodyne:
         np.testing.assert_array_equal(a.result, b.result)
         np.testing.assert_array_equal(a.outcome_n, b.outcome_n)
         np.testing.assert_array_equal(a.setting_k, b.setting_k)
+
+
+    @pytest.mark.parametrize("eta_h", [0.9, 1.0])
+    def test_matches_former_mask_loop(self, eta_h):
+        state = twin_beam(0.88, 54)
+        povm = noisy_photocounter(0.8, 1.0, fock_cutoff=54, env_cutoff=30)
+        hq = homodyne_quorum(6, eta_h, grid=(-6.0, 6.0, 1.0 / 256.0))
+        data = sample_homodyne_twinbeam(state, povm, hq, 70_000, seed=2024)
+        ns, phases, xs = former_sample_homodyne_twinbeam(state, povm, hq, 70_000, seed=2024)
+        np.testing.assert_array_equal(data.outcome_n, ns)
+        np.testing.assert_array_equal(data.setting_k, phases)
+        np.testing.assert_array_equal(data.result, xs)
+
+
+class TestGroupByLabel:
+    def test_unsorted_labels_with_gaps(self):
+        labels = np.array([7, 0, 3, 7, 12, 0, 3, 3, 12, 5])
+        keys, order, bounds = group_by_label(labels)
+        np.testing.assert_array_equal(keys, [0, 3, 5, 7, 12])
+        np.testing.assert_array_equal(bounds, [0, 2, 5, 6, 8, 10])
+        for key, lo, hi in zip(keys, bounds[:-1], bounds[1:]):
+            np.testing.assert_array_equal(order[lo:hi], np.flatnonzero(labels == key))
+
+    def test_empty_labels(self):
+        keys, order, bounds = group_by_label(np.array([], dtype=np.int64))
+        assert keys.size == 0 and order.size == 0
+        np.testing.assert_array_equal(bounds, [0])
 
 
 class TestDatasetIO:
