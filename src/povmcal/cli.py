@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detectors, quorum as quorum_mod, recon_avg, recon_ml, sampler, states, stats
-from .errors import PovmcalError, ScenarioAbort
+from .errors import ConfigError, PovmcalError, ScenarioAbort
 from .scenarios import list_scenarios, scenario_config
 
 EXACT_TOLERANCE = 1e-8  # oracle tolerance used for z-scores in exact mode
@@ -55,35 +55,44 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.strategy not in ("averaging", "ml", "both"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise ConfigError("seed must be nonnegative")
         wants_ml = self.strategy in ("ml", "both")
         if wants_ml and self.exact_probabilities:
-            raise ValueError("maximum likelihood requires sampled data")
+            raise ConfigError("maximum likelihood requires sampled data")
         if wants_ml and self.bootstrap_reps < 2:
-            raise ValueError("ml strategy needs bootstrap_reps >= 2 for error bars")
+            raise ConfigError("ml strategy needs bootstrap_reps >= 2 for error bars")
         if not wants_ml and self.bootstrap_reps != 0:
-            raise ValueError("averaging error bars are analytic; set bootstrap_reps to 0")
+            raise ConfigError("averaging error bars are analytic; set bootstrap_reps to 0")
         if not self.exact_probabilities and self.n_records < 1:
-            raise ValueError("n_records must be positive in sampled mode")
+            raise ConfigError("n_records must be positive in sampled mode")
         unknown_ml = set(self.ml) - ML_KEYS
         if unknown_ml:
-            raise ValueError(f"unknown ml keys: {sorted(unknown_ml)}")
+            raise ConfigError(f"unknown ml keys: {sorted(unknown_ml)}")
         homodyne = self.quorum["kind"] == "homodyne"
         if homodyne and self.exact_probabilities:
-            raise ValueError("exact-probability mode needs a finite quorum")
+            raise ConfigError("exact-probability mode needs a finite quorum")
         if homodyne and self.noise is not None:
-            raise ValueError("tomographer noise is supported with a finite quorum only")
+            raise ConfigError("tomographer noise is supported with a finite quorum only")
         if not homodyne and self.display_cutoff is not None:
-            raise ValueError("display_cutoff applies to a homodyne quorum only")
+            raise ConfigError("display_cutoff applies to a homodyne quorum only")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
+        fields = dataclasses.fields(cls)
+        unknown = set(payload) - {f.name for f in fields}
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        missing = [
+            f.name
+            for f in fields
+            if f.name not in payload
+            and f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+        ]
+        if missing:
+            raise ConfigError(f"missing config keys: {missing}")
         return cls(**payload)
 
     def to_dict(self) -> dict:
@@ -127,7 +136,7 @@ def build_state(params: dict) -> states.BipartiteState:
         return states.twin_beam(params["xi"], params["fock_cutoff"])
     if kind == "product_mixed":
         return states.product_mixed(params["dim_system"], params["dim_tomo"])
-    raise ValueError(f"unknown state kind {kind!r}")
+    raise ConfigError(f"unknown state kind {kind!r}")
 
 
 def build_detector(params: dict, state: states.BipartiteState) -> detectors.Povm:
@@ -138,14 +147,14 @@ def build_detector(params: dict, state: states.BipartiteState) -> detectors.Povm
         return detectors.noisy_photocounter(
             params["eta_p"], params["nu"], state.dim_system - 1, params["env_cutoff"]
         )
-    raise ValueError(f"unknown detector kind {kind!r}")
+    raise ConfigError(f"unknown detector kind {kind!r}")
 
 
 def build_quorum(params: dict, dim_tomo: int):
     kind = params["kind"]
     if kind == "pauli":
         if dim_tomo != 2:
-            raise ValueError("pauli quorum needs a qubit tomographer")
+            raise ConfigError("pauli quorum needs a qubit tomographer")
         return quorum_mod.pauli_quorum()
     if kind == "random_bases":
         return quorum_mod.random_basis_quorum(dim_tomo, params["n_settings"], params["seed"])
@@ -156,7 +165,7 @@ def build_quorum(params: dict, dim_tomo: int):
             tuple(params.get("grid", (-8.0, 8.0, 1.0 / 512.0))),
             params.get("unbias_cutoff"),
         )
-    raise ValueError(f"unknown quorum kind {kind!r}")
+    raise ConfigError(f"unknown quorum kind {kind!r}")
 
 
 def build_noise(params: dict | None, dim: int) -> quorum_mod.NoiseMap | None:
@@ -166,7 +175,7 @@ def build_noise(params: dict | None, dim: int) -> quorum_mod.NoiseMap | None:
         return quorum_mod.noise_map_from_superoperator(
             quorum_mod.depolarizing_superoperator(params["p"], dim)
         )
-    raise ValueError(f"unknown noise kind {params['kind']!r}")
+    raise ConfigError(f"unknown noise kind {params['kind']!r}")
 
 
 # --- report assembly --------------------------------------------------------
@@ -353,9 +362,6 @@ def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunRepo
             "coverage": coverage,
         }
     t_recon = time.perf_counter()
-
-    if homodyne:
-        quorum_mod.export_kernels_csv(quorum_obj.kernel_table, out / "kernels.csv")
 
     report = RunReport(
         config=config.to_dict(),
@@ -548,15 +554,42 @@ def emit_plot_data(report: RunReport, output_dir) -> list[Path]:
 # --- command line ------------------------------------------------------------
 
 
+def _load_config(source: str, **overrides) -> ScenarioConfig:
+    """Config from a JSON file, or else a builtin scenario name, with the
+    ``overrides`` that are not None set on top."""
+    if Path(source).exists():
+        try:
+            payload = json.loads(Path(source).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{source} is not valid JSON: {exc}") from exc
+    else:
+        payload = scenario_config(source)
+    payload.update((key, value) for key, value in overrides.items() if value is not None)
+    return ScenarioConfig.from_dict(payload)
+
+
+def _export_kernels(config: ScenarioConfig, path) -> quorum_mod.KernelTable:
+    """Write the kernel table of the config's homodyne quorum as CSV."""
+    if config.quorum["kind"] != "homodyne":
+        raise ConfigError(f"kernels need a homodyne quorum, not {config.quorum['kind']!r}")
+    table = build_quorum(config.quorum, build_state(config.state).dim_tomo).kernel_table
+    quorum_mod.export_kernels_csv(table, path)
+    return table
+
+
 def main(argv=None) -> int:
+    """Exit code 0 when every check passed, 1 when a check failed, 2 when
+    the faithfulness gate aborted the run, 3 for a rejected config or
+    another povmcal error."""
     parser = argparse.ArgumentParser(
         prog="povmcal",
         description="Detector POVM calibration: simulate joint records and reconstruct.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_help = "path to a config JSON file, or a builtin scenario name"
 
     p_run = sub.add_parser("run", help="execute a scenario config (JSON file or builtin name)")
-    p_run.add_argument("config", help="path to a config JSON file, or a builtin scenario name")
+    p_run.add_argument("config", help=config_help)
     p_run.add_argument("--output-dir", default=None)
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--n-records", type=int, default=None, help="override the record count")
@@ -566,10 +599,10 @@ def main(argv=None) -> int:
 
     sub.add_parser("list-scenarios", help="list builtin scenario names")
 
-    p_kernels = sub.add_parser("export-kernels", help="write diagonal kernels as CSV")
-    p_kernels.add_argument("--eta-h", type=float, required=True)
-    p_kernels.add_argument("--fock-cutoff", type=int, required=True)
-    p_kernels.add_argument("--unbias-cutoff", type=int, default=None)
+    p_kernels = sub.add_parser(
+        "export-kernels", help="write the homodyne kernel table of a config as CSV"
+    )
+    p_kernels.add_argument("config", help=config_help)
     p_kernels.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
@@ -583,26 +616,12 @@ def main(argv=None) -> int:
         print(json.dumps(scenario_config(args.scenario), indent=2, sort_keys=True))
         return 0
 
-    if args.command == "export-kernels":
-        table = quorum_mod.build_diagonal_kernels(
-            args.fock_cutoff, args.eta_h, unbias_cutoff=args.unbias_cutoff
-        )
-        quorum_mod.export_kernels_csv(table, args.out)
-        print(f"wrote {args.out} (residual {table.residual:.3e})")
-        return 0
-
-    # run
-    if Path(args.config).exists():
-        with open(args.config) as fh:
-            payload = json.load(fh)
-    else:
-        payload = scenario_config(args.config)
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.n_records is not None:
-        payload["n_records"] = args.n_records
-    config = ScenarioConfig.from_dict(payload)
     try:
+        if args.command == "export-kernels":
+            table = _export_kernels(_load_config(args.config), args.out)
+            print(f"wrote {args.out} (residual {table.residual:.3e})")
+            return 0
+        config = _load_config(args.config, seed=args.seed, n_records=args.n_records)
         report = run(config, output_dir=args.output_dir)
     except ScenarioAbort as exc:
         print(f"aborted: {exc}", file=sys.stderr)

@@ -5,6 +5,10 @@ class PovmcalError(Exception):
     """Base class for all toolkit errors."""
 
 
+class ConfigError(PovmcalError, ValueError):
+    """A run configuration is malformed or does not fit the requested command."""
+
+
 class DimensionMismatchError(PovmcalError, ValueError):
     """Operator or state dimensions are inconsistent."""
 

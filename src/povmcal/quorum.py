@@ -23,9 +23,6 @@ from .errors import (
 )
 from .qmath import ComplexOperator
 
-# kernel-table rows converted to Python floats at a time by the CSV export
-_EXPORT_CHUNK = 1024
-
 
 @dataclass(frozen=True)
 class QuorumSetting:
@@ -336,13 +333,14 @@ def homodyne_quorum(
 
 
 def export_kernels_csv(table: KernelTable, path) -> None:
-    """Write the kernel table as CSV with columns x, K_0 ... K_M."""
-    # the bytes csv.writer gives for these cells, CRLF line ends included
-    row = ",".join(["%.17g"] * (table.n_kernels + 1)) + "\r\n"
-    cells = np.column_stack([table.grid, table.values.T])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["x"] + [f"K_{m}" for m in range(table.n_kernels)]) + "\r\n")
-        # Python floats format faster than numpy scalars and print the same
-        # digits; chunks keep the converted rows small
-        for lo in range(0, len(cells), _EXPORT_CHUNK):
-            fh.writelines(row % tuple(r) for r in cells[lo : lo + _EXPORT_CHUNK].tolist())
+    """Write the kernel table as CSV with columns x, K_0 ... K_M, in the
+    bytes csv.writer gives for these cells (CRLF line ends included)."""
+    np.savetxt(
+        path,
+        np.column_stack([table.grid, table.values.T]),
+        fmt="%.17g",
+        delimiter=",",
+        newline="\r\n",
+        header=",".join(["x"] + [f"K_{m}" for m in range(table.n_kernels)]),
+        comments="",
+    )

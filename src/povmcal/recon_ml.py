@@ -8,9 +8,9 @@ maximized under P_n >= 0 and sum_n P_n = I.  The maximizer is an EM-style
 multiplicative fixed point with a Lagrange operator enforcing completeness;
 in the number-diagonal case it reduces to per-entry multiplicative updates
 with column renormalization and the problem is strictly concave, so the
-optimum does not depend on the starting point.  A damped step and a
-projected-gradient fallback guard against the (rare) non-increasing
-proposal, keeping the recorded likelihood trace monotone.
+optimum does not depend on the starting point.  A proposal that loses
+likelihood ends the ascent uncertified, so the recorded likelihood trace
+stays monotone.
 
 The ascent stops on a certificate rather than on a stalled likelihood.
 With R_n the gradient and Lambda the Hermitian part of sum_n R_n P_n
@@ -78,7 +78,6 @@ class DiagonalMlProblem:
     for a dataset, its draw count for a bootstrap resample.
     """
 
-    weights: np.ndarray  # (M+1,)
     rows: np.ndarray  # (R, M+1) nonnegative, grouped by outcome
     row_outcome: np.ndarray  # (R,) nondecreasing row of theta per row
     outcomes: tuple[int, ...]  # outcome labels, catch-all last
@@ -115,7 +114,6 @@ class DiagonalMlProblem:
         multiplicity = draws[self.record].astype(float)
         drawn = np.flatnonzero(multiplicity)
         return DiagonalMlProblem(
-            self.weights,
             self.rows[drawn],
             self.row_outcome[drawn],
             self.outcomes,
@@ -146,9 +144,6 @@ class DiagonalMlProblem:
     def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Log-likelihood and its gradient d L / d theta[n, m] in one sweep."""
         return self._sweep(theta, with_ll=True)
-
-    def log_likelihood(self, theta: np.ndarray) -> float:
-        return self.evaluate(theta)[0]
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         """The gradient of :meth:`evaluate` without its logarithm pass."""
@@ -241,9 +236,6 @@ class FiniteMlProblem:
         ratio = self.counts / probs
         grad = np.einsum("nkm,kmij->nij", ratio, self.effects)
         return ll, grad
-
-    def log_likelihood(self, elements: np.ndarray) -> float:
-        return self.evaluate(elements)[0]
 
     def gradient(self, elements: np.ndarray) -> np.ndarray:
         return self.evaluate(elements)[1]
@@ -403,7 +395,6 @@ def build_problem_diagonal(
     # information about theta; keeping them would destabilize the updates
     record = order[(responses.sum(axis=0) > 0.0)[order]]
     return DiagonalMlProblem(
-        weights,
         responses.T[record],
         rows[record],
         outcomes,
@@ -481,12 +472,11 @@ def maximize(
     """Likelihood ascent until the certified gap ``ll_gap`` is at most ``gap_tol``.
 
     Every accepted iterate satisfies completeness to 1e-6 and positivity
-    to -1e-8, and the recorded trace is nondecreasing (1e-12 slack).  If
-    the multiplicative proposal fails to improve, damped steps toward it
-    are tried, then a projected-gradient line search.  The ascent gives up
-    uncertified when that rescue fails, when an iteration gains less than
-    ``min_ll_increase`` or after ``max_iters`` iterations; ``converged``
-    is true only when the certificate holds.
+    to -1e-8, and the recorded trace is nondecreasing (1e-12 slack).  The
+    ascent gives up uncertified when the multiplicative proposal loses more
+    than that slack, when an iteration gains less than ``min_ll_increase``
+    or after ``max_iters`` iterations; ``converged`` is true only when the
+    certificate holds.
 
     With ``accelerate`` each iteration also tries faster candidates, each
     stabilized by one more multiplicative update so constraints still hold
@@ -517,11 +507,8 @@ def maximize(
         proposal = problem.em_update(current, grad_current)
         ll_new, grad_new = problem.evaluate(proposal)
         if ll_new < trace[-1] - MONOTONE_SLACK:
-            proposal, ll_new = _rescue_step(problem, current, proposal, trace[-1])
-            if proposal is None:
-                break
-            grad_new = problem.gradient(proposal)
-        elif accelerate:
+            break
+        if accelerate:
             accelerated = _accelerated_step(problem, current, proposal, ll_new, grad_new)
             if accelerated is not None:
                 proposal, ll_new, grad_new = accelerated
@@ -626,27 +613,3 @@ def _feasible_steplength(problem, point0, r, v, alpha):
             outside = middle
     return inside
 
-
-def _rescue_step(problem, current, proposal, ll_current):
-    """Recover an improving step when the raw fixed-point proposal fails.
-
-    Damped interpolation stays exactly inside the constraint set (it is a
-    convex combination); projected gradient is the last resort.
-    """
-    for _ in range(12):
-        proposal = 0.5 * (current + proposal)
-        ll = problem.log_likelihood(proposal)
-        if ll > ll_current:
-            return proposal, ll
-    gradient = problem.gradient(current)
-    scale = float(np.max(np.abs(gradient)))
-    step = 1.0 / scale if scale > 0 else 0.0
-    for _ in range(20):
-        candidate = problem.project(current + step * gradient)
-        ll = problem.log_likelihood(candidate)
-        if ll > ll_current:
-            completeness, min_eig = problem.constraint_violation(candidate)
-            if completeness <= COMPLETENESS_TOL and min_eig >= POSITIVITY_TOL:
-                return candidate, ll
-        step *= 0.5
-    return None, None

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import copy
 
+from .errors import ConfigError
+
 _KERNEL_GRID = [-8.0, 8.0, 1.0 / 512.0]
 
 SCENARIOS: dict[str, dict] = {
@@ -133,7 +135,7 @@ SCENARIOS: dict[str, dict] = {
 
 def scenario_config(name: str) -> dict:
     if name not in SCENARIOS:
-        raise KeyError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
+        raise ConfigError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
     return copy.deepcopy(SCENARIOS[name])
 
 

@@ -7,8 +7,17 @@ from pathlib import Path
 import pytest
 
 import povmcal
-from povmcal.cli import RunReport, ScenarioConfig, emit_plot_data, main, run
+from povmcal.cli import (
+    RunReport,
+    ScenarioConfig,
+    build_quorum,
+    build_state,
+    emit_plot_data,
+    main,
+    run,
+)
 from povmcal.errors import ScenarioAbort
+from povmcal.quorum import export_kernels_csv
 from povmcal.scenarios import list_scenarios, scenario_config
 
 
@@ -30,6 +39,12 @@ class TestScenarioConfig:
         payload = scenario_config("fig2")
         payload["bogus"] = 1
         with pytest.raises(ValueError, match="bogus"):
+            ScenarioConfig.from_dict(payload)
+
+    def test_missing_keys_named(self):
+        payload = scenario_config("fig2")
+        del payload["seed"], payload["quorum"]
+        with pytest.raises(ValueError, match=r"missing config keys: \['seed', 'quorum'\]"):
             ScenarioConfig.from_dict(payload)
 
     def test_unknown_ml_key_rejected(self):
@@ -205,7 +220,8 @@ class TestRun:
         assert [f"averaging_k{k}.csv" for k in range(8)] == plots
         header = (tmp_path / "plots" / "averaging_k0.csv").read_text().splitlines()[0]
         assert header == "n,estimate,stderr,theory"
-        assert (tmp_path / "kernels.csv").exists()
+        # the kernel table is an input of the run, written only by export-kernels
+        assert not (tmp_path / "kernels.csv").exists()
 
 
 def test_runtime_imports_no_scipy(tmp_path):
@@ -262,12 +278,59 @@ class TestMainCli:
         assert cfg.bootstrap_reps == 50
 
     def test_export_kernels(self, tmp_path, capsys):
+        cfg = scenario_config("fig2")
+        cfg["quorum"].update(fock_cutoff=3, unbias_cutoff=None)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
         out = tmp_path / "kernels.csv"
-        code = main(
-            ["export-kernels", "--eta-h", "0.9", "--fock-cutoff", "3", "--out", str(out)]
-        )
-        assert code == 0
+        assert main(["export-kernels", str(path), "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "x,K_0,K_1,K_2,K_3"
+        assert f"wrote {out}" in capsys.readouterr().out
+
+    def test_export_kernels_writes_the_configured_grid(self, tmp_path):
+        cfg = scenario_config("fig4")
+        cfg["quorum"].update(fock_cutoff=6, unbias_cutoff=None, grid=[-6.0, 6.0, 1.0 / 256.0])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["export-kernels", str(path), "--out", str(tmp_path / "cli.csv")]) == 0
+        table = build_quorum(cfg["quorum"], build_state(cfg["state"]).dim_tomo).kernel_table
+        assert table.values.shape == (7, 3073)
+        export_kernels_csv(table, tmp_path / "direct.csv")
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+    def test_export_kernels_rejects_finite_quorum(self, tmp_path, capsys):
+        out = tmp_path / "kernels.csv"
+        assert main(["export-kernels", "qubit-sampled", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: kernels need a homodyne quorum")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "export-kernels"])
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("unknown key", "unknown config keys: ['bogus']"),
+            ("missing key", "missing config keys: ['n_records']"),
+            ("bad strategy", "unknown strategy 'magic'"),
+            ("unknown builtin", "unknown scenario 'fig9'"),
+            ("malformed JSON", "is not valid JSON"),
+        ],
+    )
+    def test_rejected_config_exit_code(self, tmp_path, capsys, command, fault, message):
+        cfg = scenario_config("fig2")
+        if fault == "unknown key":
+            cfg["bogus"] = 1
+        elif fault == "missing key":
+            del cfg["n_records"]
+        elif fault == "bad strategy":
+            cfg["strategy"] = "magic"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg)[:-1] if fault == "malformed JSON" else json.dumps(cfg))
+        source = "fig9" if fault == "unknown builtin" else str(path)
+        out = str(tmp_path / "out")
+        assert main([command, source, "--output-dir" if command == "run" else "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_run_builtin_with_overrides(self, tmp_path, capsys):
         code = main(

@@ -62,9 +62,9 @@ class TestLogLikelihood:
             (0,),
             2,
         )
-        ll = identity_problem.log_likelihood(
+        ll = identity_problem.evaluate(
             identity_problem.from_povm(Povm((np.eye(2, dtype=complex),)))
-        )
+        )[0]
         # direct: sum over records of log p_tomo(k_i, m_i)
         tomo_probs = np.real(np.einsum("kmii->km", problem.effects))
         direct = float(
@@ -83,11 +83,11 @@ class TestLogLikelihood:
         weights = state.diagonal_weights()[:7]
         q = smeared_fock_pdf_table(6, 0.9, np.array([x_value]))[:, 0]
         expected = np.log((weights * q * theta[0]).sum())
-        np.testing.assert_allclose(problem.log_likelihood(theta), expected, rtol=1e-12)
+        np.testing.assert_allclose(problem.evaluate(theta)[0], expected, rtol=1e-12)
 
     def test_truth_beats_perturbations_on_expected_counts(self):
         problem, povm = expected_count_problem()
-        ll_truth = problem.log_likelihood(problem.from_povm(povm))
+        ll_truth = problem.evaluate(problem.from_povm(povm))[0]
         rng = np.random.default_rng(5)
         worse = 0
         lls = []
@@ -99,7 +99,7 @@ class TestLogLikelihood:
                     (1 - eps) * p + eps * q for p, q in zip(povm.elements, other.elements)
                 )
             )
-            lls.append(problem.log_likelihood(problem.from_povm(mixed)))
+            lls.append(problem.evaluate(problem.from_povm(mixed))[0])
             if lls[-1] <= ll_truth:
                 worse += 1
         assert ll_truth >= np.mean(lls)
@@ -112,7 +112,7 @@ class TestMaximizeFinite:
         result = maximize(problem, init=povm, max_iters=50)
         assert result.converged
         assert result.iterations <= 1
-        ll0 = problem.log_likelihood(problem.from_povm(povm))
+        ll0 = problem.evaluate(problem.from_povm(povm))[0]
         assert result.final_log_likelihood - ll0 <= 1e-9
         for p_hat, p in zip(result.povm_hat.elements, povm.elements):
             np.testing.assert_allclose(p_hat, p, atol=1e-8)
