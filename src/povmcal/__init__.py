@@ -8,22 +8,9 @@ likelihood, with bootstrap error bars — and a config-driven experiment
 runner.
 """
 
-from .detectors import (
-    Povm,
-    noisy_photocounter,
-    projective_povm,
-    random_povm,
-)
-from .qmath import (
-    ComplexOperator,
-    HermitianCheckReport,
-    fock_quadrature_table,
-    partial_trace_first,
-    positivity_report,
-    tensor_product,
-)
+from .detectors import Povm, noisy_photocounter, random_povm
+from .qmath import ComplexOperator, fock_quadrature_table
 from .quorum import (
-    DualSet,
     FiniteQuorum,
     HomodyneQuorum,
     NoiseMap,
@@ -55,7 +42,7 @@ from .states import (
     maximally_entangled,
     twin_beam,
 )
-from .stats import BootstrapReport, bootstrap, compare_mse
+from .stats import BootstrapReport, bootstrap
 
 __version__ = "0.1.0"
 
@@ -65,9 +52,7 @@ __all__ = [
     "ComplexOperator",
     "ConditionedEstimate",
     "Dataset",
-    "DualSet",
     "FiniteQuorum",
-    "HermitianCheckReport",
     "HomodyneQuorum",
     "MapROperator",
     "MlResult",
@@ -80,7 +65,6 @@ __all__ = [
     "build_map_R",
     "build_problem_diagonal",
     "build_problem_finite",
-    "compare_mse",
     "compute_dual_set",
     "estimate_conditioned_finite",
     "estimate_conditioned_homodyne",
@@ -90,14 +74,10 @@ __all__ = [
     "maximize",
     "noise_map_from_superoperator",
     "noisy_photocounter",
-    "partial_trace_first",
     "pauli_quorum",
-    "positivity_report",
-    "projective_povm",
     "random_povm",
     "recover_povm",
     "sample_finite",
     "sample_homodyne_twinbeam",
-    "tensor_product",
     "twin_beam",
 ]

@@ -29,7 +29,52 @@ from .errors import ConfigError, PovmcalError, ScenarioAbort
 from .scenarios import list_scenarios, scenario_config
 
 EXACT_TOLERANCE = 1e-8  # oracle tolerance used for z-scores in exact mode
-ML_KEYS = frozenset({"fock_cutoff", "max_iters", "min_ll_increase"})  # what an ``ml`` block may set
+
+# the types a value may take; no bool passes for an int or a float
+INT, NUMBER, OPTIONAL_INT = (int,), (int, float), (int, type(None))
+TYPES = {
+    "name": (str,),
+    "seed": INT,
+    "n_records": INT,
+    "exact_probabilities": (bool,),
+    "strategy": (str,),
+    "bootstrap_reps": INT,
+    "save_dataset": (bool,),
+    "max_condition_number": NUMBER,
+    "svd_tolerance": NUMBER,
+    "display_cutoff": OPTIONAL_INT,
+    "state": (dict,),
+    "detector": (dict,),
+    "quorum": (dict,),
+    "ml": (dict,),
+    "noise": (dict, type(None)),
+}
+# the keys each kind of nested block takes besides "kind", with their types;
+# only the keys in OPTIONAL_KEYS may be left out
+BLOCK_KEYS = {
+    "state": {
+        "maximally_entangled": {"d": INT},
+        "twin_beam": {"xi": NUMBER, "fock_cutoff": INT},
+        "product_mixed": {"dim_system": INT, "dim_tomo": INT},
+    },
+    "detector": {
+        "random": {"n_outcomes": INT, "seed": INT},
+        "noisy_photocounter": {"eta_p": NUMBER, "nu": NUMBER, "env_cutoff": INT},
+    },
+    "quorum": {
+        "pauli": {},
+        "random_bases": {"n_settings": INT, "seed": INT},
+        "homodyne": {
+            "eta_h": NUMBER,
+            "fock_cutoff": INT,
+            "grid": (list, tuple),
+            "unbias_cutoff": OPTIONAL_INT,
+        },
+    },
+    "noise": {"depolarizing": {"p": NUMBER}},
+}
+OPTIONAL_KEYS = frozenset({"grid", "unbias_cutoff"})
+ML_KEYS = {"fock_cutoff": INT}  # what an ``ml`` block may set
 
 
 @dataclass
@@ -51,9 +96,12 @@ class ScenarioConfig:
     quorum: dict
     ml: dict = field(default_factory=dict)
     noise: dict | None = None
-    output_dir: str | None = None
 
     def __post_init__(self):
+        _check_types("", vars(self), TYPES)
+        for block in ("state", "detector", "quorum", "noise"):
+            if getattr(self, block) is not None:
+                _check_block(block, getattr(self, block))
         if self.strategy not in ("averaging", "ml", "both"):
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.seed < 0:
@@ -67,9 +115,10 @@ class ScenarioConfig:
             raise ConfigError("averaging error bars are analytic; set bootstrap_reps to 0")
         if not self.exact_probabilities and self.n_records < 1:
             raise ConfigError("n_records must be positive in sampled mode")
-        unknown_ml = set(self.ml) - ML_KEYS
+        unknown_ml = set(self.ml) - set(ML_KEYS)
         if unknown_ml:
             raise ConfigError(f"unknown ml keys: {sorted(unknown_ml)}")
+        _check_types("ml.", self.ml, ML_KEYS)
         homodyne = self.quorum["kind"] == "homodyne"
         if homodyne and self.exact_probabilities:
             raise ConfigError("exact-probability mode needs a finite quorum")
@@ -77,6 +126,8 @@ class ScenarioConfig:
             raise ConfigError("tomographer noise is supported with a finite quorum only")
         if not homodyne and self.display_cutoff is not None:
             raise ConfigError("display_cutoff applies to a homodyne quorum only")
+        if not homodyne and "fock_cutoff" in self.ml:
+            raise ConfigError("ml.fock_cutoff applies to a homodyne quorum only")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioConfig":
@@ -97,6 +148,33 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def _check_types(prefix: str, values: dict, types: dict) -> None:
+    """Reject a value of ``values`` whose type ``types`` does not list for its key."""
+    for key, accepted in types.items():
+        if key not in values:
+            continue
+        value = values[key]
+        if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+            names = " or ".join(t.__name__ for t in accepted)
+            raise ConfigError(f"{prefix}{key} must be {names}, not {value!r}")
+
+
+def _check_block(block: str, params: dict) -> None:
+    """Reject a nested block whose kind is unknown or whose keys do not fit it."""
+    kinds = BLOCK_KEYS[block]
+    kind = params.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{block} kind must be one of {sorted(kinds)}, not {kind!r}")
+    types = kinds[kind]
+    missing = sorted(set(types) - OPTIONAL_KEYS - set(params))
+    if missing:
+        raise ConfigError(f"{block} of kind {kind!r} is missing keys: {missing}")
+    unknown = sorted(set(params) - set(types) - {"kind"})
+    if unknown:
+        raise ConfigError(f"unknown {block} keys for kind {kind!r}: {unknown}")
+    _check_types(f"{block}.", params, types)
 
 
 @dataclass
@@ -279,7 +357,7 @@ def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunRepo
     the input state is not faithful on the reconstruction subspace.
     """
     t0 = time.perf_counter()
-    out = Path(output_dir or config.output_dir or Path("runs") / config.name)
+    out = Path(output_dir or Path("runs") / config.name)
     out.mkdir(parents=True, exist_ok=True)
 
     state = build_state(config.state)
@@ -419,14 +497,6 @@ def _fit_averaging(config, data, state, povm, quorum_obj, map_r, noise) -> _Fit:
     return _Fit(estimate.outcomes, estimate.values, estimate.stderr, None, checks, report)
 
 
-def _solve_ml(problem, ml_cfg):
-    return recon_ml.maximize(
-        problem,
-        max_iters=ml_cfg.get("max_iters", 20000),
-        min_ll_increase=ml_cfg.get("min_ll_increase", 1e-8),
-    )
-
-
 def _fit_ml(config, data, state, quorum_obj, out) -> _Fit:
     """Constrained maximum likelihood with bootstrap error bars; writes
     ``ml_result.json``.
@@ -448,11 +518,11 @@ def _fit_ml(config, data, state, quorum_obj, out) -> _Fit:
     def values_of(povm):
         return povm.diagonal() if homodyne else np.stack(povm.elements)
 
-    result = _solve_ml(problem, config.ml)
+    result = recon_ml.maximize(problem)
     rep_converged: list[bool] = []
 
     def rerun(indices):
-        res = _solve_ml(problem.resample(indices), config.ml)
+        res = recon_ml.maximize(problem.resample(indices))
         rep_converged.append(res.converged)
         return _flatten(values_of(res.povm_hat))
 

@@ -14,17 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .errors import DimensionMismatchError, PovmInvariantError, TailMassError
+from .errors import DimensionMismatchError, TailMassError
 from .qmath import ComplexOperator
+
+# largest off-diagonal magnitude an element of a number-diagonal POVM may have
+DIAGONAL_ATOL = 1e-14
 
 
 @dataclass(frozen=True)
 class Povm:
     """Ordered positive operators summing to the identity.
 
-    ``elements[n]`` is the effect for outcome label n.  Invariants
-    (Hermitian to 1e-12, eigenvalues >= -1e-10, completeness to 1e-10
-    entrywise) are checked by :meth:`validate`, not silently enforced.
+    ``elements[n]`` is the effect for outcome label n.  Positivity and
+    completeness are not checked on construction.
     """
 
     elements: tuple[ComplexOperator, ...]
@@ -49,52 +51,14 @@ class Povm:
     def __iter__(self):
         return iter(self.elements)
 
-    def completeness_deviation(self) -> float:
-        total = sum(self.elements)
-        return float(np.abs(total - np.eye(self.dim)).max())
-
-    def min_eigenvalue(self) -> float:
-        return qmath.min_eigenvalue(self.elements)
-
-    def max_antihermitian_deviation(self) -> float:
-        return max(qmath.positivity_report(e).max_antihermitian_deviation for e in self.elements)
-
-    def validate(
-        self,
-        herm_tol: float = 1e-12,
-        eig_tol: float = -1e-10,
-        completeness_tol: float = 1e-10,
-    ) -> None:
-        dev = self.max_antihermitian_deviation()
-        if dev > herm_tol:
-            raise PovmInvariantError(f"element not Hermitian: deviation {dev:.3e}")
-        lo = self.min_eigenvalue()
-        if lo < eig_tol:
-            raise PovmInvariantError(f"element has eigenvalue {lo:.3e} below {eig_tol:.1e}")
-        comp = self.completeness_deviation()
-        if comp > completeness_tol:
-            raise PovmInvariantError(f"completeness deviation {comp:.3e} exceeds tolerance")
-
-    def is_diagonal(self, atol: float = 1e-14) -> bool:
+    def is_diagonal(self) -> bool:
         return all(
-            np.abs(e - np.diag(np.diagonal(e))).max() <= atol for e in self.elements
+            np.abs(e - np.diag(np.diagonal(e))).max() <= DIAGONAL_ATOL for e in self.elements
         )
 
     def diagonal(self) -> np.ndarray:
         """Real matrix D[n, m] = <m|P_n|m>."""
         return np.stack([np.real(np.diagonal(e)) for e in self.elements])
-
-
-def projective_povm(basis) -> Povm:
-    """Rank-one projectors onto an orthonormal basis (rows of ``basis``)."""
-    vectors = np.asarray(basis, dtype=complex)
-    if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1]:
-        raise DimensionMismatchError("basis must be a square array of row vectors")
-    gram = vectors @ vectors.conj().T
-    deviation = float(np.abs(gram - np.eye(vectors.shape[0])).max())
-    if deviation >= 1e-10:
-        raise PovmInvariantError(f"basis is not orthonormal: Gram deviation {deviation:.3e}")
-    return Povm(tuple(np.outer(v, v.conj()) for v in vectors))
 
 
 def thermal_tail_mass(nu: float, cutoff: int) -> float:

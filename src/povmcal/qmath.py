@@ -12,11 +12,12 @@ the conventions everything else relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatchError
+
+# relative eigenvalue below which hermitian_inverse_sqrt drops a direction
+EIGENVALUE_FLOOR = 1e-14
 
 ComplexOperator = np.ndarray
 """A dense square complex matrix; the universal carrier for states,
@@ -47,55 +48,12 @@ def unvec(v: np.ndarray, dim: int) -> ComplexOperator:
     return v.reshape(dim, dim)
 
 
-def tensor_product(a: ComplexOperator, b: ComplexOperator) -> ComplexOperator:
-    """Kronecker product with the first factor on the coarse index."""
-    return np.kron(as_operator(a), as_operator(b))
-
-
-def partial_trace_first(x: ComplexOperator, dim_first: int) -> ComplexOperator:
-    """Trace out the first tensor factor of dimension ``dim_first``.
-
-    ``result[p, q] = sum_i x[(i,p), (i,q)]``
-    """
-    x = as_operator(x)
-    d = x.shape[0]
-    if dim_first <= 0 or d % dim_first != 0:
-        raise DimensionMismatchError(
-            f"dimension {d} is not divisible by first-factor dimension {dim_first}"
-        )
-    d2 = d // dim_first
-    return np.einsum("ipiq->pq", x.reshape(dim_first, d2, dim_first, d2))
-
-
-
-@dataclass(frozen=True)
-class HermitianCheckReport:
-    """Hermiticity and positivity diagnostics for one operator.
-
-    ``max_antihermitian_deviation`` is ``max |X[i,j] - conj(X[j,i])|``;
-    ``min_eigenvalue`` is the smallest eigenvalue of the Hermitian part
-    ``(X + X^dag)/2``.  The deviation is reported, not silently
-    symmetrized away, so that non-Hermitian garbage surfaces in tests.
-    """
-
-    max_antihermitian_deviation: float
-    min_eigenvalue: float
-
-
-def positivity_report(x: ComplexOperator) -> HermitianCheckReport:
-    x = as_operator(x)
-    deviation = float(np.abs(x - dagger(x)).max())
-    hermitian_part = (x + dagger(x)) / 2.0
-    eigenvalues = np.linalg.eigvalsh(hermitian_part)
-    return HermitianCheckReport(deviation, float(eigenvalues[0]))
-
-
 def min_eigenvalue(stack) -> float:
     """Smallest eigenvalue of the Hermitian parts (X + X^dag)/2 over a
     stack of operators of shape (..., d, d).
 
     LAPACK still runs once per matrix, so the value is bit-identical to the
-    smallest :func:`positivity_report` ``min_eigenvalue`` of the elements.
+    smallest eigenvalue found one element at a time.
     """
     x = np.asarray(stack, dtype=complex)
     hermitian_part = (x + np.conj(np.swapaxes(x, -1, -2))) / 2.0
@@ -124,16 +82,16 @@ def fock_quadrature_table(max_m: int, xs) -> np.ndarray:
     return table
 
 
-def hermitian_inverse_sqrt(a: ComplexOperator, floor: float = 1e-14) -> ComplexOperator:
+def hermitian_inverse_sqrt(a: ComplexOperator) -> ComplexOperator:
     """Inverse square root of a positive Hermitian matrix.
 
-    Eigenvalues below ``floor * max_eigenvalue`` are treated as zero
+    Eigenvalues below ``EIGENVALUE_FLOOR * max_eigenvalue`` are treated as zero
     (their inverse-sqrt contribution is dropped), which keeps the result
     finite for numerically rank-deficient inputs.
     """
     a = as_operator(a)
     w, u = np.linalg.eigh((a + dagger(a)) / 2.0)
-    cut = floor * max(float(w[-1]), 0.0)
+    cut = EIGENVALUE_FLOOR * max(float(w[-1]), 0.0)
     keep = w > cut
     inv_sqrt = np.zeros_like(w)
     inv_sqrt[keep] = 1.0 / np.sqrt(w[keep])

@@ -9,7 +9,7 @@ a standard operator-frame problem and matches what the sampler records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,45 +21,34 @@ from .errors import (
     NonInvertibleNoiseError,
     NotAQuorumError,
 )
-from .qmath import ComplexOperator
 
-
-@dataclass(frozen=True)
-class QuorumSetting:
-    """One tunable observable: orthonormal eigenvectors (rows)."""
-
-    vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.vectors.shape[0]
+# largest condition number of an invertible noise map
+MAX_NOISE_CONDITION = 1e10
+# kernel ridge relative to the Gram norm, and the largest unbiasedness
+# residual a kernel table may keep
+KERNEL_RIDGE = 1e-10
+KERNEL_RESIDUAL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
 class FiniteQuorum:
-    settings: tuple[QuorumSetting, ...]
+    """Orthonormal eigenvectors of each setting: ``vectors[k, m]`` is
+    outcome m of setting k, shape (n_settings, d, d)."""
+
+    vectors: np.ndarray
     span_check: bool
 
     @property
     def dim(self) -> int:
-        return self.settings[0].dim
+        return self.vectors.shape[-1]
 
     @property
     def n_settings(self) -> int:
-        return len(self.settings)
+        return self.vectors.shape[0]
 
     def projectors(self) -> np.ndarray:
         """All projectors, shape (n_settings, d, d, d) indexed [k, m, :, :]."""
-        return np.stack(
-            [
-                np.einsum("mi,mj->mij", s.vectors, s.vectors.conj())
-                for s in self.settings
-            ]
-        )
+        return np.einsum("kmi,kmj->kmij", self.vectors, self.vectors.conj())
 
 
 def finite_quorum(settings_vectors) -> FiniteQuorum:
@@ -75,13 +64,11 @@ def finite_quorum(settings_vectors) -> FiniteQuorum:
             raise NotAQuorumError(
                 f"setting {idx} eigenvectors not orthonormal: deviation {deviation:.3e}"
             )
-        settings.append(QuorumSetting(v))
-    d = settings[0].dim
-    stacked = np.concatenate(
-        [np.einsum("mi,mj->mij", s.vectors, s.vectors.conj()) for s in settings]
-    ).reshape(-1, d * d)
-    rank = np.linalg.matrix_rank(stacked, tol=1e-10)
-    return FiniteQuorum(tuple(settings), span_check=bool(rank == d * d))
+        settings.append(v)
+    quorum = FiniteQuorum(np.stack(settings), span_check=False)
+    d = quorum.dim
+    rank = np.linalg.matrix_rank(quorum.projectors().reshape(-1, d * d), tol=1e-10)
+    return replace(quorum, span_check=bool(rank == d * d))
 
 
 def pauli_quorum() -> FiniteQuorum:
@@ -105,19 +92,14 @@ def random_basis_quorum(dim: int, n_settings: int, seed: int) -> FiniteQuorum:
     return finite_quorum(settings)
 
 
-@dataclass(frozen=True)
-class DualSet:
-    """Canonical dual frame of the quorum projector family.
+def compute_dual_set(quorum: FiniteQuorum) -> np.ndarray:
+    """Canonical dual frame of the quorum projector family, shape
+    (n_settings, d, d, d).
 
     duals[k, m] satisfies sum_{k,m} Tr[X duals[k,m]^dag] projector[k,m] = X
     for every operator X (and the transposed identity with the roles of
     frame and dual swapped).
     """
-
-    duals: np.ndarray  # (n_settings, d, d, d)
-
-
-def compute_dual_set(quorum: FiniteQuorum) -> DualSet:
     if not quorum.span_check:
         raise NotAQuorumError("projector family does not span the operator space")
     d = quorum.dim
@@ -125,41 +107,35 @@ def compute_dual_set(quorum: FiniteQuorum) -> DualSet:
     b = frame.T  # columns vec(F_alpha)
     frame_operator = b @ b.conj().T  # (d^2, d^2), positive definite on the span
     duals_cols = np.linalg.pinv(frame_operator, hermitian=True) @ b
-    duals = duals_cols.T.reshape(quorum.n_settings, d, d, d)
-    return DualSet(duals)
+    return duals_cols.T.reshape(quorum.n_settings, d, d, d)
 
 
 @dataclass(frozen=True)
 class NoiseMap:
     """Invertible linear map on operators, stored as a (d^2, d^2) superoperator.
 
-    The convention is Schrodinger-like: ``apply`` acts on states.  Acting
-    on observables instead corresponds to the Hilbert-Schmidt adjoint,
-    i.e. the conjugate transpose of ``superoperator``.
+    The convention is Schrodinger-like: ``superoperator`` acts on vec of
+    a state.  Acting on observables instead corresponds to the
+    Hilbert-Schmidt adjoint, i.e. the conjugate transpose of
+    ``superoperator``.
     """
 
     superoperator: np.ndarray
     inverse_superoperator: np.ndarray
     condition_number: float
 
-    @property
-    def dim(self) -> int:
-        return int(round(np.sqrt(self.superoperator.shape[0])))
 
-    def apply(self, x: ComplexOperator) -> ComplexOperator:
-        return qmath.unvec(self.superoperator @ qmath.vec(x), self.dim)
-
-
-def noise_map_from_superoperator(matrix, max_condition: float = 1e10) -> NoiseMap:
+def noise_map_from_superoperator(matrix) -> NoiseMap:
     m = np.asarray(matrix, dtype=complex)
     d2 = m.shape[0]
     if m.ndim != 2 or m.shape[0] != m.shape[1] or int(round(np.sqrt(d2))) ** 2 != d2:
         raise DimensionMismatchError("superoperator must be square with d^2 rows")
     s = np.linalg.svd(m, compute_uv=False)
     condition = float("inf") if s[-1] == 0.0 else float(s[0] / s[-1])
-    if not np.isfinite(condition) or condition > max_condition:
+    if not np.isfinite(condition) or condition > MAX_NOISE_CONDITION:
         raise NonInvertibleNoiseError(
-            f"noise map condition number {condition:.3e} exceeds bound {max_condition:.1e}"
+            f"noise map condition number {condition:.3e} exceeds bound "
+            f"{MAX_NOISE_CONDITION:.1e}"
         )
     return NoiseMap(m, np.linalg.inv(m), condition)
 
@@ -170,16 +146,16 @@ def depolarizing_superoperator(p: float, dim: int = 2) -> np.ndarray:
     return (1.0 - p) * np.eye(dim * dim) + (p / dim) * np.outer(eye_vec, eye_vec)
 
 
-def noise_corrected_duals(duals: DualSet, noise: NoiseMap) -> DualSet:
+def noise_corrected_duals(duals: np.ndarray, noise: NoiseMap) -> np.ndarray:
     """Duals that undo tomographer noise: C -> N^(-1)(C).
 
     Averaging these against data whose statistics carry the noisy
     projectors reproduces the noiseless operator average.
     """
-    shape = duals.duals.shape
-    flat = duals.duals.reshape(-1, shape[-2] * shape[-1])
+    shape = duals.shape
+    flat = duals.reshape(-1, shape[-2] * shape[-1])
     corrected = flat @ noise.inverse_superoperator.T
-    return DualSet(corrected.reshape(shape))
+    return corrected.reshape(shape)
 
 
 # --- homodyne quadrature quorum -------------------------------------------
@@ -260,16 +236,15 @@ def build_diagonal_kernels(
     eta_h: float,
     grid: tuple[float, float, float] = (-8.0, 8.0, 1.0 / 512.0),
     unbias_cutoff: int | None = None,
-    ridge_scale: float = 1e-10,
-    residual_tol: float = 1e-4,
 ) -> KernelTable:
     """Kernels K_m (m <= fock_cutoff) unbiased against the smeared densities.
 
     The defining property is the linear system  integral K_m q_j dx = delta_mj
     for j <= unbias_cutoff (default: fock_cutoff).  It is solved in
-    least-norm form on the discretized grid with a small ridge; the
-    achieved residual is verified rather than trusted, and construction
-    fails if it exceeds ``residual_tol``.  Raising ``unbias_cutoff`` above
+    least-norm form on the discretized grid with a ridge of
+    ``KERNEL_RIDGE`` times the Gram norm; the achieved residual is verified
+    rather than trusted, and construction fails if it reaches
+    ``KERNEL_RESIDUAL_TOL``.  Raising ``unbias_cutoff`` above
     ``fock_cutoff`` additionally zeroes the response of the kernels to
     higher number states, cutting leakage bias when the input state has
     weight beyond the reconstruction cutoff.
@@ -294,14 +269,14 @@ def build_diagonal_kernels(
     q = smeared_fock_pdf_table(unbias_cutoff, eta_h, xs)  # (J+1, G)
     a = q * weights  # rows integrate against the grid
     gram = a @ a.T
-    ridge = ridge_scale * float(np.linalg.norm(gram, 2))
+    ridge = KERNEL_RIDGE * float(np.linalg.norm(gram, 2))
     target = np.eye(unbias_cutoff + 1)[:, : fock_cutoff + 1]
     kernels = (a.T @ np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), target)).T
 
     residual = float(np.abs(a @ kernels.T - target).max())
-    if residual >= residual_tol:
+    if residual >= KERNEL_RESIDUAL_TOL:
         raise KernelConstructionError(
-            f"kernel unbiasedness residual {residual:.3e} exceeds {residual_tol:.1e}; "
+            f"kernel unbiasedness residual {residual:.3e} exceeds {KERNEL_RESIDUAL_TOL:.1e}; "
             "widen or refine the grid"
         )
     return KernelTable(float(x_min), float(step), kernels, int(unbias_cutoff), residual)

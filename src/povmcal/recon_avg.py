@@ -16,7 +16,7 @@ import numpy as np
 from . import qmath
 from .detectors import Povm
 from .errors import UnsupportedStructureError
-from .quorum import DualSet, FiniteQuorum, HomodyneQuorum, NoiseMap, noise_corrected_duals
+from .quorum import FiniteQuorum, HomodyneQuorum, NoiseMap, noise_corrected_duals
 from .sampler import Dataset, group_by_label, joint_probability_tables
 from .states import BipartiteState, MapROperator
 
@@ -40,7 +40,7 @@ class ConditionedEstimate:
 def estimate_conditioned_finite(
     data: Dataset,
     quorum: FiniteQuorum,
-    duals: DualSet,
+    duals: np.ndarray,
     noise: NoiseMap | None = None,
 ) -> list[ConditionedEstimate]:
     """Per-outcome dual-frame averages over the records.
@@ -53,8 +53,8 @@ def estimate_conditioned_finite(
     if data.kind != "finite":
         raise UnsupportedStructureError("finite estimator requires finite-quorum data")
     effective = noise_corrected_duals(duals, noise) if noise is not None else duals
-    n_settings, d = effective.duals.shape[0], effective.duals.shape[-1]
-    scaled = n_settings * effective.duals  # (K, d, d, d)
+    n_settings, d = effective.shape[0], effective.shape[-1]
+    scaled = n_settings * effective  # (K, d, d, d)
 
     counts = np.zeros(
         (int(data.outcome_n.max()) + 1, n_settings, scaled.shape[1]), dtype=np.int64
@@ -85,7 +85,7 @@ def estimate_conditioned_finite_exact(
     state: BipartiteState,
     povm: Povm,
     quorum: FiniteQuorum,
-    duals: DualSet,
+    duals: np.ndarray,
     noise: NoiseMap | None = None,
 ) -> list[ConditionedEstimate]:
     """Infinite-data limit: exact conditional distributions instead of frequencies."""
@@ -98,7 +98,7 @@ def estimate_conditioned_finite_exact(
         if p_n[n] <= 0.0:
             continue
         joint = tables[:, n, :] / n_settings  # p(k, m, n)
-        rho = np.einsum("km,kmij->ij", joint / p_n[n], n_settings * effective.duals)
+        rho = np.einsum("km,kmij->ij", joint / p_n[n], n_settings * effective)
         estimates.append(
             ConditionedEstimate(n, float(p_n[n]), 0, rho, np.zeros_like(rho, dtype=float))
         )

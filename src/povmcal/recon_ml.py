@@ -366,9 +366,10 @@ def build_problem_diagonal(
 ) -> DiagonalMlProblem:
     """Precompute response rows w_m q_m(x_i) for the diagonal likelihood.
 
-    ``fock_cutoff`` bounds the reconstruction space; the pair-weight tail
-    above it must stay below ``weight_tail_tol`` or the likelihood model
-    would miss real records (the cutoff bias the method is known for).
+    ``fock_cutoff`` bounds the reconstruction space and may not exceed the
+    state's own cutoff; the pair-weight tail above it must stay below
+    ``weight_tail_tol`` or the likelihood model would miss real records
+    (the cutoff bias the method is known for).
     The outcome set is the observed outcomes plus one catch-all row that
     absorbs the completeness remainder.
     """
@@ -377,6 +378,10 @@ def build_problem_diagonal(
     full_weights = state.diagonal_weights()
     if fock_cutoff is None:
         fock_cutoff = full_weights.size - 1
+    if fock_cutoff >= full_weights.size:
+        raise CutoffError(
+            f"ML cutoff {fock_cutoff} exceeds the state's Fock cutoff {full_weights.size - 1}"
+        )
     tail = float(full_weights[fock_cutoff + 1 :].sum())
     if tail > weight_tail_tol:
         raise CutoffError(
@@ -417,9 +422,9 @@ def build_problem_finite(
     ds, dt = state.dim_system, state.dim_tomo
     rho4 = state.rho.reshape(ds, dt, ds, dt)
     effects = np.empty((quorum.n_settings, dt, ds, ds), dtype=complex)
-    for k, setting in enumerate(quorum.settings):
+    for k, v in enumerate(quorum.vectors):
         # T_km[a, b] = <m| Tr_1-dual |...>: contraction over tomographer indices
-        effects[k] = np.einsum("mp,apbq,mq->mab", setting.vectors.conj(), rho4, setting.vectors)
+        effects[k] = np.einsum("mp,apbq,mq->mab", v.conj(), rho4, v)
 
     outcomes, rows, _ = _outcome_rows(data.outcome_n)
     shape = (len(outcomes), quorum.n_settings, dt)

@@ -101,8 +101,7 @@ def joint_probability_tables(
         [np.einsum("ac,cpaq->pq", p, rho4) for p in povm.elements]
     )  # A_n = Tr_1[(P_n (x) 1) R]
     tables = np.empty((quorum.n_settings, len(povm), dt))
-    for k, setting in enumerate(quorum.settings):
-        v = setting.vectors
+    for k, v in enumerate(quorum.vectors):
         tables[k] = np.real(np.einsum("mp,npq,mq->nm", v.conj(), conditioned, v))
     if tables.min() < -1e-10:
         raise NumericalValidityError(
@@ -259,35 +258,3 @@ def export_sidecar(dataset: Dataset, path, parameters: dict | None = None) -> No
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def import_csv(path, sidecar_path=None) -> Dataset:
-    """Load a dataset written by :func:`export_csv` (+ optional sidecar)."""
-    raw = np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding="utf-8")
-    seed, scenario_id = -1, ""
-    kind = None
-    if sidecar_path is not None:
-        with open(sidecar_path) as fh:
-            meta = json.load(fh)
-        seed = int(meta["seed"])
-        scenario_id = str(meta["scenario_id"])
-        kind = meta["kind"]
-    k_col = np.atleast_1d(raw["k"])
-    result_col = np.atleast_1d(raw["result"])
-    if kind is None:
-        finite = k_col.dtype.kind in "iu" and result_col.dtype.kind in "iu"
-        kind = "finite" if finite else "homodyne"
-    if kind == "finite":
-        k_col = k_col.astype(np.int64)
-        result_col = result_col.astype(np.int64)
-    else:
-        k_col = k_col.astype(np.float64)
-        result_col = result_col.astype(np.float64)
-    return Dataset(
-        np.atleast_1d(raw["n"]).astype(np.int64),
-        k_col,
-        result_col,
-        seed,
-        scenario_id,
-        kind,
-    )

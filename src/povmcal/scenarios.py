@@ -41,7 +41,7 @@ SCENARIOS: dict[str, dict] = {
             "unbias_cutoff": 20,
             "grid": _KERNEL_GRID,
         },
-        "ml": {"fock_cutoff": 36, "max_iters": 20000, "min_ll_increase": 1e-8},
+        "ml": {"fock_cutoff": 36},
         "noise": None,
     },
     # Same physics, maximum-likelihood estimator on a 4x smaller record
@@ -71,7 +71,7 @@ SCENARIOS: dict[str, dict] = {
             "unbias_cutoff": 20,
             "grid": _KERNEL_GRID,
         },
-        "ml": {"fock_cutoff": 36, "max_iters": 20000, "min_ll_increase": 1e-8},
+        "ml": {"fock_cutoff": 36},
         "noise": None,
     },
     # Exact-probability round trip on a qubit: the averaging pipeline fed
@@ -91,7 +91,7 @@ SCENARIOS: dict[str, dict] = {
         "state": {"kind": "maximally_entangled", "d": 2},
         "detector": {"kind": "random", "n_outcomes": 3, "seed": 7},
         "quorum": {"kind": "pauli"},
-        "ml": {"max_iters": 20000, "min_ll_increase": 1e-8},
+        "ml": {},
         "noise": None,
     },
     # d = 3 variant of the exact-probability round trip.
@@ -109,7 +109,7 @@ SCENARIOS: dict[str, dict] = {
         "state": {"kind": "maximally_entangled", "d": 3},
         "detector": {"kind": "random", "n_outcomes": 4, "seed": 11},
         "quorum": {"kind": "random_bases", "n_settings": 4, "seed": 5},
-        "ml": {"max_iters": 20000, "min_ll_increase": 1e-8},
+        "ml": {},
         "noise": None,
     },
     # Sampled qubit calibration with bootstrap error bars.
@@ -127,7 +127,7 @@ SCENARIOS: dict[str, dict] = {
         "state": {"kind": "maximally_entangled", "d": 2},
         "detector": {"kind": "random", "n_outcomes": 3, "seed": 7},
         "quorum": {"kind": "pauli"},
-        "ml": {"max_iters": 20000, "min_ll_increase": 1e-8},
+        "ml": {},
         "noise": None,
     },
 }

@@ -28,9 +28,6 @@ class BipartiteState:
     beam) are stored by their Schmidt vector and the dense density matrix
     is materialized lazily; at photon-number cutoffs near 54 the dense
     matrix is ~150 MB and is never needed by the diagonal pipeline.
-
-    ``truncation_deficit`` records the probability mass removed by a
-    Fock-space cutoff before renormalization (0 for exact states).
     """
 
     def __init__(
@@ -40,7 +37,6 @@ class BipartiteState:
         *,
         rho: ComplexOperator | None = None,
         schmidt: np.ndarray | None = None,
-        truncation_deficit: float = 0.0,
     ):
         if (rho is None) == (schmidt is None):
             raise ValueError("provide exactly one of rho= or schmidt=")
@@ -48,7 +44,6 @@ class BipartiteState:
             raise DimensionMismatchError("dimensions must be positive")
         self.dim_system = int(dim_system)
         self.dim_tomo = int(dim_tomo)
-        self.truncation_deficit = float(truncation_deficit)
         self._schmidt = None if schmidt is None else np.asarray(schmidt, dtype=float)
         if self._schmidt is not None:
             if self._schmidt.size != min(dim_system, dim_tomo) or dim_system != dim_tomo:
@@ -85,19 +80,6 @@ class BipartiteState:
             raise UnsupportedStructureError("state is not in Schmidt form")
         return self._schmidt**2
 
-    def validate(self, herm_tol: float = 1e-12, eig_tol: float = -1e-10, trace_tol: float = 1e-12):
-        """Check Hermiticity, positivity and unit trace of the dense matrix."""
-        report = qmath.positivity_report(self.rho)
-        if report.max_antihermitian_deviation > herm_tol:
-            raise ValueError(
-                f"rho is not Hermitian: deviation {report.max_antihermitian_deviation:.3e}"
-            )
-        if report.min_eigenvalue < eig_tol:
-            raise ValueError(f"rho has negative eigenvalue {report.min_eigenvalue:.3e}")
-        trace = float(np.real(np.trace(self.rho)))
-        if abs(trace - 1.0) > trace_tol:
-            raise ValueError(f"rho has trace {trace!r}, expected 1")
-
 
 def maximally_entangled(d: int) -> BipartiteState:
     """|Psi> = sum_i |i>|i> / sqrt(d) as a density operator on d*d dimensions."""
@@ -109,10 +91,9 @@ def maximally_entangled(d: int) -> BipartiteState:
 def twin_beam(xi: float, fock_cutoff: int) -> BipartiteState:
     """Photon-number-correlated two-mode state with amplitudes ~ xi^m.
 
-    Truncated at ``fock_cutoff`` pairs and renormalized; the removed tail
-    mass xi^(2*(cutoff+1)) is recorded as ``truncation_deficit``.  Callers
-    should pick the cutoff so the deficit is below ~1e-6 (xi = 0.88 needs
-    cutoff >= 54).
+    Truncated at ``fock_cutoff`` pairs and renormalized, which removes the
+    tail mass xi^(2*(cutoff+1)).  Callers should pick the cutoff so that
+    mass is below ~1e-6 (xi = 0.88 needs cutoff >= 54).
     """
     if not 0.0 <= xi < 1.0:
         raise UnnormalizableStateError(f"twin beam requires 0 <= xi < 1, got {xi}")
@@ -120,14 +101,8 @@ def twin_beam(xi: float, fock_cutoff: int) -> BipartiteState:
         raise ValueError("fock_cutoff must be positive")
     m = np.arange(fock_cutoff + 1)
     amplitudes = xi**m
-    deficit = xi ** (2 * (fock_cutoff + 1))
     amplitudes /= np.sqrt(np.sum(amplitudes**2))
-    return BipartiteState(
-        fock_cutoff + 1,
-        fock_cutoff + 1,
-        schmidt=amplitudes,
-        truncation_deficit=float(deficit),
-    )
+    return BipartiteState(fock_cutoff + 1, fock_cutoff + 1, schmidt=amplitudes)
 
 
 def product_mixed(dim_system: int, dim_tomo: int) -> BipartiteState:
@@ -148,7 +123,7 @@ def apply_noise_tomo_side(state: BipartiteState, noise) -> BipartiteState:
     rho4 = state.rho.reshape(ds, dt, ds, dt)
     super4 = noise.superoperator.reshape(dt, dt, dt, dt)
     noisy = np.einsum("PQpq,apbq->aPbQ", super4, rho4).reshape(ds * dt, ds * dt)
-    return BipartiteState(ds, dt, rho=noisy, truncation_deficit=state.truncation_deficit)
+    return BipartiteState(ds, dt, rho=noisy)
 
 
 @dataclass(frozen=True)
@@ -180,19 +155,8 @@ class MapROperator:
         n = self.matrix.shape[1]
         return int(round(np.sqrt(n))) if self.subspace == "full" else n
 
-    @property
-    def dim_tomo(self) -> int:
-        n = self.matrix.shape[0]
-        return int(round(np.sqrt(n))) if self.subspace == "full" else n
-
-    def apply(self, x: ComplexOperator | np.ndarray) -> np.ndarray:
-        """Forward action; takes/returns matrices ("full") or diagonal vectors."""
-        if self.subspace == "full":
-            y = self.matrix @ qmath.vec(x)
-            return qmath.unvec(y, self.dim_tomo)
-        return self.matrix @ np.asarray(x)
-
     def invert(self, y: ComplexOperator | np.ndarray) -> np.ndarray:
+        """Inverse action; takes/returns matrices ("full") or diagonal vectors."""
         if self.subspace == "full":
             x = self.pseudo_inverse @ qmath.vec(y)
             return qmath.unvec(x, self.dim_system)

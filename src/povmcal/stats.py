@@ -1,9 +1,9 @@
-"""Bootstrap error bars and estimator-comparison metrics."""
+"""Bootstrap error bars."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -11,6 +11,8 @@ from .errors import BootstrapError, PovmcalError
 from .sampler import Dataset
 
 _STREAM_BOOTSTRAP = 2
+# largest share of repetitions that may fail before the report is refused
+MAX_FAILURE_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,6 @@ def bootstrap(
     estimator: Callable[[np.ndarray], np.ndarray],
     n_reps: int,
     seed: int,
-    max_failure_fraction: float = 0.2,
 ) -> BootstrapReport:
     """Resample whole records with replacement and re-run the estimator.
 
@@ -39,7 +40,7 @@ def bootstrap(
     ML problem's ``resample(indices)``.  Each repetition
     draws from its own deterministic substream, so the report depends only
     on (data, seed).  Repetitions that fail with a toolkit error or a
-    linear-algebra error are skipped; more than ``max_failure_fraction`` of
+    linear-algebra error are skipped; more than ``MAX_FAILURE_FRACTION`` of
     them failing aborts the report.  Any other exception is a bug and
     propagates.
     """
@@ -55,7 +56,7 @@ def bootstrap(
             results.append(np.asarray(estimator(indices), dtype=float))
         except (PovmcalError, np.linalg.LinAlgError):
             failures += 1
-    if failures > max_failure_fraction * n_reps:
+    if failures > MAX_FAILURE_FRACTION * n_reps:
         raise BootstrapError(
             f"{failures}/{n_reps} bootstrap repetitions failed"
         )
@@ -79,49 +80,4 @@ def bootstrap(
         mean=mean,
         stdev=np.sqrt(var),
         n_failures=failures,
-    )
-
-
-@dataclass(frozen=True)
-class MseComparison:
-    """Squared errors of two reconstructions against the same truth."""
-
-    entries: tuple
-    squared_errors_a: np.ndarray
-    squared_errors_b: np.ndarray
-    median_a: float
-    median_b: float
-    missing: tuple = field(default_factory=tuple)
-
-
-def compare_mse(
-    recon_a: Mapping,
-    recon_b: Mapping,
-    truth: Mapping,
-    entry_set: Sequence,
-) -> MseComparison:
-    """Per-entry squared errors and their medians for two estimators.
-
-    Entries absent from either reconstruction (or from the truth) are
-    listed in ``missing`` and excluded from the medians.
-    """
-    kept, sq_a, sq_b, missing = [], [], [], []
-    for key in entry_set:
-        if key in recon_a and key in recon_b and key in truth:
-            kept.append(key)
-            sq_a.append(abs(recon_a[key] - truth[key]) ** 2)
-            sq_b.append(abs(recon_b[key] - truth[key]) ** 2)
-        else:
-            missing.append(key)
-    if not kept:
-        raise ValueError("no common entries to compare")
-    a = np.asarray(sq_a, dtype=float)
-    b = np.asarray(sq_b, dtype=float)
-    return MseComparison(
-        entries=tuple(kept),
-        squared_errors_a=a,
-        squared_errors_b=b,
-        median_a=float(np.median(a)),
-        median_b=float(np.median(b)),
-        missing=tuple(missing),
     )

@@ -4,6 +4,10 @@ Everything here is deliberately slow and explicit (index loops, matrix
 exponentials, numerical quadrature) so that it exercises none of the
 production code paths it is used to check.
 
+The middle section holds reference operations that a calibration never
+runs: tensor products and partial traces, invariant checks of POVMs and
+states, forward maps, and the comparison of two estimators' errors.
+
 The last section keeps former implementations of code that was rewritten
 to use less memory: one boolean mask per label instead of grouped records,
 and full-size temporaries instead of in-place updates.  The rewrites do the
@@ -11,11 +15,14 @@ same floating-point operations in the same order, so tests require them to
 match these bit for bit.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 from scipy.linalg import expm
 
 from povmcal import qmath, sampler
-from povmcal.detectors import binomial_loss_matrix
+from povmcal.detectors import Povm, binomial_loss_matrix
+from povmcal.errors import DimensionMismatchError, PovmInvariantError
 
 
 def kron_loop(a, b):
@@ -127,6 +134,140 @@ def random_density(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho)
+
+
+# --- reference operations -----------------------------------------------------
+
+
+def tensor_product(a, b):
+    """Kronecker product with the first factor on the coarse index."""
+    return np.kron(qmath.as_operator(a), qmath.as_operator(b))
+
+
+def partial_trace_first(x, dim_first):
+    """Trace out the first tensor factor of dimension ``dim_first``:
+    ``result[p, q] = sum_i x[(i,p), (i,q)]``."""
+    x = qmath.as_operator(x)
+    d = x.shape[0]
+    if dim_first <= 0 or d % dim_first != 0:
+        raise DimensionMismatchError(
+            f"dimension {d} is not divisible by first-factor dimension {dim_first}"
+        )
+    d2 = d // dim_first
+    return np.einsum("ipiq->pq", x.reshape(dim_first, d2, dim_first, d2))
+
+
+@dataclass(frozen=True)
+class HermitianCheckReport:
+    """``max |X[i,j] - conj(X[j,i])|`` and the smallest eigenvalue of the
+    Hermitian part ``(X + X^dag)/2`` of one operator."""
+
+    max_antihermitian_deviation: float
+    min_eigenvalue: float
+
+
+def positivity_report(x):
+    x = qmath.as_operator(x)
+    deviation = float(np.abs(x - qmath.dagger(x)).max())
+    eigenvalues = np.linalg.eigvalsh((x + qmath.dagger(x)) / 2.0)
+    return HermitianCheckReport(deviation, float(eigenvalues[0]))
+
+
+def validate_povm(povm):
+    """Raise PovmInvariantError unless every element is Hermitian to 1e-12
+    and has eigenvalues >= -1e-10, and the elements sum to the identity to
+    1e-10 entrywise."""
+    dev = max(positivity_report(e).max_antihermitian_deviation for e in povm.elements)
+    if dev > 1e-12:
+        raise PovmInvariantError(f"element not Hermitian: deviation {dev:.3e}")
+    lo = qmath.min_eigenvalue(povm.elements)
+    if lo < -1e-10:
+        raise PovmInvariantError(f"element has eigenvalue {lo:.3e} below -1e-10")
+    comp = float(np.abs(sum(povm.elements) - np.eye(povm.dim)).max())
+    if comp > 1e-10:
+        raise PovmInvariantError(f"completeness deviation {comp:.3e} exceeds tolerance")
+
+
+def validate_state(state):
+    """Raise ValueError unless the dense matrix of ``state`` is Hermitian to
+    1e-12, has eigenvalues >= -1e-10 and has trace 1 to 1e-12."""
+    report = positivity_report(state.rho)
+    if report.max_antihermitian_deviation > 1e-12:
+        raise ValueError(
+            f"rho is not Hermitian: deviation {report.max_antihermitian_deviation:.3e}"
+        )
+    if report.min_eigenvalue < -1e-10:
+        raise ValueError(f"rho has negative eigenvalue {report.min_eigenvalue:.3e}")
+    trace = float(np.real(np.trace(state.rho)))
+    if abs(trace - 1.0) > 1e-12:
+        raise ValueError(f"rho has trace {trace!r}, expected 1")
+
+
+def projective_povm(basis):
+    """Rank-one projectors onto an orthonormal basis (rows of ``basis``)."""
+    vectors = np.asarray(basis, dtype=complex)
+    if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1]:
+        raise DimensionMismatchError("basis must be a square array of row vectors")
+    gram = vectors @ vectors.conj().T
+    deviation = float(np.abs(gram - np.eye(vectors.shape[0])).max())
+    if deviation >= 1e-10:
+        raise PovmInvariantError(f"basis is not orthonormal: Gram deviation {deviation:.3e}")
+    return Povm(tuple(np.outer(v, v.conj()) for v in vectors))
+
+
+def map_r_apply(map_r, x):
+    """Forward action of an input map; takes and returns matrices on the
+    full subspace and vectors of diagonal entries on the diagonal one."""
+    if map_r.subspace == "full":
+        dim_tomo = int(round(np.sqrt(map_r.matrix.shape[0])))
+        return qmath.unvec(map_r.matrix @ qmath.vec(x), dim_tomo)
+    return map_r.matrix @ np.asarray(x)
+
+
+def noise_apply(noise, x):
+    """A noise map acting on the operator ``x`` (a state)."""
+    dim = int(round(np.sqrt(noise.superoperator.shape[0])))
+    return qmath.unvec(noise.superoperator @ qmath.vec(x), dim)
+
+
+@dataclass(frozen=True)
+class MseComparison:
+    """Squared errors of two reconstructions against the same truth."""
+
+    entries: tuple
+    squared_errors_a: np.ndarray
+    squared_errors_b: np.ndarray
+    median_a: float
+    median_b: float
+    missing: tuple = field(default_factory=tuple)
+
+
+def compare_mse(recon_a, recon_b, truth, entry_set):
+    """Per-entry squared errors and their medians for two estimators.
+
+    Entries absent from either reconstruction (or from the truth) are
+    listed in ``missing`` and excluded from the medians.
+    """
+    kept, sq_a, sq_b, missing = [], [], [], []
+    for key in entry_set:
+        if key in recon_a and key in recon_b and key in truth:
+            kept.append(key)
+            sq_a.append(abs(recon_a[key] - truth[key]) ** 2)
+            sq_b.append(abs(recon_b[key] - truth[key]) ** 2)
+        else:
+            missing.append(key)
+    if not kept:
+        raise ValueError("no common entries to compare")
+    a = np.asarray(sq_a, dtype=float)
+    b = np.asarray(sq_b, dtype=float)
+    return MseComparison(
+        entries=tuple(kept),
+        squared_errors_a=a,
+        squared_errors_b=b,
+        median_a=float(np.median(a)),
+        median_b=float(np.median(b)),
+        missing=tuple(missing),
+    )
 
 
 # --- former implementations ---------------------------------------------------

@@ -21,9 +21,9 @@ from povmcal.recon_ml import build_problem_diagonal, maximize
 from povmcal.sampler import sample_finite, sample_homodyne_twinbeam
 from povmcal.scenarios import scenario_config
 from povmcal.states import build_diagonal_map_R, build_map_R, maximally_entangled, twin_beam
-from povmcal.stats import bootstrap, compare_mse
+from povmcal.stats import bootstrap
 
-from oracles import beam_splitter_counter_oracle
+from oracles import beam_splitter_counter_oracle, compare_mse
 
 pytestmark = pytest.mark.acceptance
 

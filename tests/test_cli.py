@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,25 @@ class TestScenarioConfig:
         payload = scenario_config("qubit-sampled")
         payload["display_cutoff"] = 1
         with pytest.raises(ValueError, match="display_cutoff"):
+            ScenarioConfig.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "scenario, block, key, value, message",
+        [
+            ("qubit-sampled", None, "seed", True, "seed must be int, not True"),
+            ("qubit-sampled", None, "n_records", 1.5, "n_records must be int, not 1.5"),
+            ("qubit-sampled", None, "bootstrap_reps", False, "bootstrap_reps must be int"),
+            ("qubit-sampled", "state", "d", "2", "state.d must be int, not '2'"),
+            ("qubit-sampled", "detector", "seed", 7.0, "detector.seed must be int, not 7.0"),
+            ("fig4", "ml", "fock_cutoff", True, "ml.fock_cutoff must be int, not True"),
+            ("fig2", "detector", "eta", 0.8, "unknown detector keys for kind 'noisy_photocounter'"),
+            ("qubit-sampled", "ml", "fock_cutoff", 5, "ml.fock_cutoff applies to a homodyne"),
+        ],
+    )
+    def test_rejected_values(self, scenario, block, key, value, message):
+        payload = scenario_config(scenario)
+        (payload if block is None else payload[block])[key] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
             ScenarioConfig.from_dict(payload)
 
     def test_exact_mode_needs_finite_quorum(self, tmp_path):
@@ -313,6 +333,11 @@ class TestMainCli:
             ("bad strategy", "unknown strategy 'magic'"),
             ("unknown builtin", "unknown scenario 'fig9'"),
             ("malformed JSON", "is not valid JSON"),
+            ("output_dir", "unknown config keys: ['output_dir']"),
+            ("ml.max_iters", "unknown ml keys: ['max_iters']"),
+            ("state without d", "state of kind 'maximally_entangled' is missing keys: ['d']"),
+            ("quorum without kind", "quorum kind must be one of"),
+            ("string seed", "seed must be int, not '7'"),
         ],
     )
     def test_rejected_config_exit_code(self, tmp_path, capsys, command, fault, message):
@@ -323,6 +348,16 @@ class TestMainCli:
             del cfg["n_records"]
         elif fault == "bad strategy":
             cfg["strategy"] = "magic"
+        elif fault == "output_dir":
+            cfg["output_dir"] = str(tmp_path / "out")
+        elif fault == "ml.max_iters":
+            cfg["ml"]["max_iters"] = 20000
+        elif fault == "state without d":
+            cfg["state"] = {"kind": "maximally_entangled"}
+        elif fault == "quorum without kind":
+            del cfg["quorum"]["kind"]
+        elif fault == "string seed":
+            cfg["seed"] = "7"
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg)[:-1] if fault == "malformed JSON" else json.dumps(cfg))
         source = "fig9" if fault == "unknown builtin" else str(path)
@@ -331,6 +366,17 @@ class TestMainCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "out").exists()
+
+    def test_ml_cutoff_above_state_cutoff_exit_code(self, tmp_path, capsys):
+        cfg = scenario_config("fig4")
+        cfg.update(n_records=2000, bootstrap_reps=2)
+        cfg["state"].update(xi=0.6, fock_cutoff=20)
+        cfg["ml"]["fock_cutoff"] = 24
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ML cutoff 24 exceeds the state's Fock cutoff 20")
 
     def test_run_builtin_with_overrides(self, tmp_path, capsys):
         code = main(

@@ -11,12 +11,17 @@ from povmcal.detectors import (
     binomial_loss_matrix,
     noisy_photocounter,
     photocounter_response,
-    projective_povm,
     random_povm,
 )
 from povmcal.errors import PovmInvariantError, TailMassError
 
-from oracles import beam_splitter_counter_oracle, random_density, thermal_state
+from oracles import (
+    beam_splitter_counter_oracle,
+    projective_povm,
+    random_density,
+    thermal_state,
+    validate_povm,
+)
 
 
 class TestProjectivePovm:
@@ -40,7 +45,7 @@ class TestProjectivePovm:
         rng = np.random.default_rng(0)
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         q, _ = np.linalg.qr(g)
-        projective_povm(q.T).validate()
+        validate_povm(projective_povm(q.T))
 
 
 def exact_channel(kind, param, dim_in, dim_out):
@@ -104,7 +109,7 @@ class TestNoisyPhotocounter:
             expected = np.zeros(6)
             expected[k] = 1.0
             np.testing.assert_array_equal(np.real(np.diagonal(povm[k])), expected)
-        povm.validate()
+        validate_povm(povm)
 
     def test_pure_loss_is_binomial(self):
         eta = 0.73
@@ -141,7 +146,7 @@ class TestNoisyPhotocounter:
 
     def test_povm_invariants_and_diagonality(self):
         povm = noisy_photocounter(0.8, 1.0, fock_cutoff=10, env_cutoff=30)
-        povm.validate()
+        validate_povm(povm)
         for element in povm:
             off = element - np.diag(np.diagonal(element))
             assert np.abs(off).max() == 0.0
@@ -164,7 +169,7 @@ class TestRandomPovm:
         seed=st.integers(min_value=0, max_value=10_000),
     )
     def test_invariants(self, dim, n_outcomes, seed):
-        random_povm(dim, n_outcomes, seed).validate()
+        validate_povm(random_povm(dim, n_outcomes, seed))
 
     def test_deterministic_per_seed(self):
         a = random_povm(2, 3, seed=42)

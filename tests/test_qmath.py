@@ -4,15 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmcal.errors import DimensionMismatchError
-from povmcal.qmath import (
-    fock_quadrature_table,
-    min_eigenvalue,
+from povmcal.qmath import fock_quadrature_table, min_eigenvalue
+
+from oracles import (
+    kron_loop,
     partial_trace_first,
     positivity_report,
+    ptrace_first_loop,
+    quadrature_integral,
+    random_hermitian,
     tensor_product,
 )
-
-from oracles import kron_loop, ptrace_first_loop, quadrature_integral, random_hermitian
 
 
 class TestTensorProduct:

@@ -3,7 +3,6 @@ import pytest
 
 from povmcal.cli import build_detector, build_noise, build_quorum, build_state
 from povmcal.detectors import Povm, noisy_photocounter, random_povm
-from povmcal.qmath import partial_trace_first, tensor_product
 from povmcal.quorum import (
     compute_dual_set,
     depolarizing_superoperator,
@@ -28,7 +27,7 @@ from povmcal.states import (
     twin_beam,
 )
 
-from oracles import former_estimate_conditioned_homodyne
+from oracles import former_estimate_conditioned_homodyne, partial_trace_first, tensor_product
 from test_sampler import fock_pair_state
 
 HQ = homodyne_quorum(6, 0.9, grid=(-6.0, 6.0, 1.0 / 256.0))

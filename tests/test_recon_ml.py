@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from povmcal.cli import build_detector, build_noise, build_quorum, build_state
-from povmcal.detectors import Povm, noisy_photocounter, projective_povm, random_povm
+from povmcal.detectors import Povm, noisy_photocounter, random_povm
 from povmcal.errors import CutoffError, PovmInvariantError
 from povmcal.quorum import homodyne_quorum, pauli_quorum, smeared_fock_pdf_table
 from povmcal.recon_ml import (
@@ -25,7 +25,7 @@ from povmcal.scenarios import scenario_config
 from povmcal.states import apply_noise_tomo_side, maximally_entangled, twin_beam
 from povmcal.stats import bootstrap
 
-from oracles import former_diagonal_rows
+from oracles import former_diagonal_rows, projective_povm
 
 HQ = homodyne_quorum(6, 0.9, grid=(-6.0, 6.0, 1.0 / 256.0))
 

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from povmcal.detectors import noisy_photocounter, projective_povm, random_povm
+from povmcal.detectors import noisy_photocounter, random_povm
 from povmcal.errors import UnsupportedStructureError
 from povmcal.quorum import (
     homodyne_quorum,
@@ -14,14 +16,13 @@ from povmcal.sampler import (
     export_csv,
     export_sidecar,
     group_by_label,
-    import_csv,
     joint_probability_tables,
     sample_finite,
     sample_homodyne_twinbeam,
 )
 from povmcal.states import BipartiteState, maximally_entangled, twin_beam
 
-from oracles import former_sample_finite, former_sample_homodyne_twinbeam
+from oracles import former_sample_finite, former_sample_homodyne_twinbeam, projective_povm
 
 HQ_SMALL = homodyne_quorum(6, 0.9, grid=(-6.0, 6.0, 1.0 / 256.0))
 
@@ -236,6 +237,18 @@ class TestGroupByLabel:
         np.testing.assert_array_equal(bounds, [0])
 
 
+def read_records(path, parse):
+    """Columns n, k, result of a dataset CSV, with k and result read by ``parse``."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "n,k,result"
+    cells = [line.split(",") for line in lines[1:]]
+    return (
+        np.array([int(n) for n, _, _ in cells]),
+        np.array([parse(k) for _, k, _ in cells]),
+        np.array([parse(r) for _, _, r in cells]),
+    )
+
+
 class TestDatasetIO:
     def test_finite_round_trip_and_stability(self, tmp_path):
         state = maximally_entangled(2)
@@ -249,11 +262,14 @@ class TestDatasetIO:
         export_csv(data, path)
         assert path.read_bytes() == first_bytes
 
-        loaded = import_csv(path, sidecar)
-        np.testing.assert_array_equal(loaded.outcome_n, data.outcome_n)
-        np.testing.assert_array_equal(loaded.setting_k, data.setting_k)
-        np.testing.assert_array_equal(loaded.result, data.result)
-        assert loaded.seed == 12 and loaded.scenario_id == "io"
+        for column, written in zip(
+            (data.outcome_n, data.setting_k, data.result), read_records(path, int)
+        ):
+            np.testing.assert_array_equal(written, column)
+        meta = json.loads(sidecar.read_text())
+        assert meta["seed"] == 12 and meta["scenario_id"] == "io" and meta["kind"] == "finite"
+        assert meta["n_records"] == 5000 and meta["parameters"] == {"note": "test"}
+        assert meta["counts_by_n"] == data.counts_by_n.tolist()
 
     def test_homodyne_round_trip_exact_floats(self, tmp_path):
         state = twin_beam(0.6, 10)
@@ -261,10 +277,11 @@ class TestDatasetIO:
         data = sample_homodyne_twinbeam(state, povm, HQ_SMALL, 3000, seed=13)
         path = tmp_path / "data.csv"
         export_csv(data, path)
-        loaded = import_csv(path)
-        assert loaded.kind == "homodyne"
-        np.testing.assert_array_equal(loaded.result, data.result)
-        np.testing.assert_array_equal(loaded.setting_k, data.setting_k)
+        # %.17g round-trips every float64 exactly
+        for column, written in zip(
+            (data.outcome_n, data.setting_k, data.result), read_records(path, float)
+        ):
+            np.testing.assert_array_equal(written, column)
 
     def test_record_view(self):
         data = Dataset(

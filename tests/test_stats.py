@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from povmcal.detectors import projective_povm
 from povmcal.errors import BootstrapError, NumericalValidityError
 from povmcal.quorum import pauli_quorum
 from povmcal.sampler import sample_finite
 from povmcal.states import maximally_entangled
-from povmcal.stats import bootstrap, compare_mse
+from povmcal.stats import bootstrap
+
+from oracles import compare_mse, projective_povm
 
 
 def p_hat_estimator(data, n_outcomes):
