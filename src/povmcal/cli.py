@@ -6,8 +6,8 @@ subspace, simulate the joint measurements, then reconstruct the detector
 POVM by the averaging strategy, maximum likelihood, or both, with error
 bars and a comparison against the known ground truth.
 
-All artifacts are deterministic functions of the config (the timing log
-is the one exception and lives in its own file).
+Only this module writes files.  All artifacts are deterministic functions
+of the config (the timing log is the one exception and has its own file).
 """
 
 from __future__ import annotations
@@ -106,6 +106,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        if self.display_cutoff is not None and self.display_cutoff < 0:
+            raise ConfigError("display_cutoff must be nonnegative")
+        if not self.max_condition_number >= 1.0:
+            raise ConfigError("max_condition_number must be at least 1")
         wants_ml = self.strategy in ("ml", "both")
         if wants_ml and self.exact_probabilities:
             raise ConfigError("maximum likelihood requires sampled data")
@@ -237,12 +241,8 @@ def build_quorum(params: dict, dim_tomo: int):
     if kind == "random_bases":
         return quorum_mod.random_basis_quorum(dim_tomo, params["n_settings"], params["seed"])
     if kind == "homodyne":
-        return quorum_mod.homodyne_quorum(
-            params["fock_cutoff"],
-            params["eta_h"],
-            tuple(params.get("grid", (-8.0, 8.0, 1.0 / 512.0))),
-            params.get("unbias_cutoff"),
-        )
+        optional = {key: params[key] for key in OPTIONAL_KEYS if key in params}
+        return quorum_mod.homodyne_quorum(params["fock_cutoff"], params["eta_h"], **optional)
     raise ConfigError(f"unknown quorum kind {kind!r}")
 
 
@@ -263,7 +263,7 @@ def build_noise(params: dict | None, dim: int) -> quorum_mod.NoiseMap | None:
 class _Fit:
     """One estimator's POVM estimate: ``values`` is (n, M+1) real for the
     number-diagonal reconstruction or (n, d, d) complex for the full one,
-    and ``stderr`` is real with the same shape."""
+    and ``stderr`` is real with the same shape; ML fits carry their ``ml_result.json`` payload."""
 
     outcomes: tuple[int, ...]
     values: np.ndarray
@@ -271,6 +271,7 @@ class _Fit:
     catch_all: int | None
     checks: dict
     report: dict
+    ml_result: dict | None = None
 
 
 def _layout(complex_values: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -351,15 +352,12 @@ def _bootstrap_stderr(boot: stats.BootstrapReport, shape: tuple[int, ...]) -> np
 
 
 def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunReport:
-    """Execute one scenario and write its artifacts.
-
-    Aborts with :class:`ScenarioAbort` (condition-number diagnostic) when
-    the input state is not faithful on the reconstruction subspace.
+    """Execute one scenario, then write its artifacts; a run that raises
+    writes nothing.  Aborts with :class:`ScenarioAbort` (condition-number
+    diagnostic) when the input state is not faithful on the reconstruction
+    subspace.
     """
     t0 = time.perf_counter()
-    out = Path(output_dir or Path("runs") / config.name)
-    out.mkdir(parents=True, exist_ok=True)
-
     state = build_state(config.state)
     povm = build_detector(config.detector, state)
     quorum_obj = build_quorum(config.quorum, state.dim_tomo)
@@ -400,12 +398,10 @@ def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunRepo
             "seed": data.seed,
             "counts_by_n": data.counts_by_n.tolist(),
         }
-        if config.save_dataset:
-            sampler.export_csv(data, out / "dataset.csv")
-            sampler.export_sidecar(data, out / "dataset.json", {"scenario": config.name})
     t_sample = time.perf_counter()
 
     reconstructions: dict = {}
+    fits: dict[str, _Fit] = {}
     checks: dict = {"faithful": True}
     truth = povm.diagonal() if homodyne else np.stack(povm.elements)
     exact = config.exact_probabilities
@@ -415,13 +411,9 @@ def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunRepo
         if label == "averaging":
             fit = _fit_averaging(config, data, sample_state, povm, quorum_obj, map_r, noise)
         else:
-            fit = _fit_ml(config, data, sample_state, quorum_obj, out)
+            fit = _fit_ml(config, data, sample_state, quorum_obj)
+        fits[label] = fit
         checks.update(fit.checks)
-        _write_csv(
-            out / f"{label}_reconstruction.csv",
-            _columns(np.iscomplexobj(fit.values)),
-            _entries(fit, truth, None, exact),
-        )
         entries = _entries(fit, truth, config.display_cutoff, exact)
         coverage = _coverage(entries)
         if exact:
@@ -453,16 +445,27 @@ def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunRepo
             "reconstruction_s": t_recon - t_sample,
         },
     )
-    with open(out / "report.json", "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "config.json", "w") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    json_files = {"report.json": report.to_json_dict(), "config.json": report.config}
+    if "ml" in fits:
+        json_files["ml_result.json"] = fits["ml"].ml_result
+    if config.save_dataset and data is not None:
+        json_files["dataset.json"] = {
+            **dataset_summary,
+            "scenario_id": data.scenario_id,
+            "kind": data.kind,
+            "parameters": {"scenario": config.name},
+        }
+    out = Path(output_dir or Path("runs") / config.name)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, payload in json_files.items():
+        _write_json(out / name, payload)
+    if "dataset.json" in json_files:
+        write_dataset_csv(data, out / "dataset.csv")
+    for label, fit in fits.items():
+        path = out / f"{label}_reconstruction.csv"
+        _write_csv(path, _columns(np.iscomplexobj(fit.values)), _entries(fit, truth, None, exact))
     emit_plot_data(report, out / "plots")
-    with open(out / "run.log", "w") as fh:
-        for key, value in report.timing.items():
-            fh.write(f"{key}: {value:.3f}\n")
+    (out / "run.log").write_text("".join(f"{k}: {v:.3f}\n" for k, v in report.timing.items()))
     return report
 
 
@@ -497,9 +500,8 @@ def _fit_averaging(config, data, state, povm, quorum_obj, map_r, noise) -> _Fit:
     return _Fit(estimate.outcomes, estimate.values, estimate.stderr, None, checks, report)
 
 
-def _fit_ml(config, data, state, quorum_obj, out) -> _Fit:
-    """Constrained maximum likelihood with bootstrap error bars; writes
-    ``ml_result.json``.
+def _fit_ml(config, data, state, quorum_obj) -> _Fit:
+    """Constrained maximum likelihood with bootstrap error bars.
 
     Each repetition solves the point problem reweighted by the resample's
     draw counts, so every repetition keeps the point estimate's outcome
@@ -528,7 +530,6 @@ def _fit_ml(config, data, state, quorum_obj, out) -> _Fit:
 
     boot = stats.bootstrap(data, rerun, config.bootstrap_reps, config.seed)
     values = values_of(result.povm_hat)
-    result.export_json(out / "ml_result.json")
 
     monotone = bool(np.all(np.diff(result.ll_trace) >= -recon_ml.MONOTONE_SLACK))
     uncertified = rep_converged.count(False)
@@ -541,29 +542,44 @@ def _fit_ml(config, data, state, quorum_obj, out) -> _Fit:
         "bootstrap_failures_ok": bool(boot.n_failures == 0),
         "ml_certified": bool(result.converged and uncertified == 0),
     }
-    report = {
-        "catch_all_outcome": int(problem.outcomes[-1]),
+    solve = {  # the solve's scalars, reported and repeated in ml_result.json
         "iterations": result.iterations,
         "converged": result.converged,
         "ll_gap": result.ll_gap,
         "final_log_likelihood": result.final_log_likelihood,
-        "monotone": monotone,
         "completeness_deviation": result.completeness_deviation,
         "min_eigenvalue": result.min_eigenvalue,
+    }
+    report = {
+        "catch_all_outcome": int(problem.outcomes[-1]),
+        **solve,
+        "monotone": monotone,
         "bootstrap": {
             "n_repetitions": boot.n_repetitions,
             "n_failures": boot.n_failures,
             "uncertified_repetitions": uncertified,
         },
     }
+    ml_result = {
+        **solve,
+        "ll_trace": result.ll_trace,
+        "povm": [{"real": np.real(p), "imag": np.imag(p)} for p in result.povm_hat.elements],
+    }
     stderr = _bootstrap_stderr(boot, values.shape)
-    return _Fit(problem.outcomes, values, stderr, problem.outcomes[-1], checks, report)
+    return _Fit(problem.outcomes, values, stderr, problem.outcomes[-1], checks, report, ml_result)
 
 
 # --- artifact writers --------------------------------------------------------
 
 # plot-file header of each reconstruction column that is renamed there
 _PLOT_HEADERS = {"m": "n", "value": "estimate", "value_re": "estimate_re", "value_im": "estimate_im"}
+
+
+def _write_json(path, payload) -> None:
+    """Write ``payload``, arrays as nested lists, in the JSON layout of every file of a run."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
+        fh.write("\n")
 
 
 def _fmt(value) -> str:
@@ -587,6 +603,24 @@ def _write_csv(path, columns: dict[str, str], entries) -> None:
         writer.writerow(list(columns))
         for e in entries:
             writer.writerow([_fmt(e.get(key)) for key in columns.values()])
+
+
+def write_dataset_csv(data: sampler.Dataset, path) -> None:
+    """Records as CSV (header n,k,result, LF line ends); the phases and
+    quadratures of homodyne records in %.17g, which round-trips a float64."""
+    columns = np.column_stack([data.outcome_n, data.setting_k, data.result])
+    fmt = "%d" if data.kind == "finite" else "%d,%.17g,%.17g"
+    np.savetxt(path, columns, fmt=fmt, delimiter=",", header="n,k,result", comments="")
+
+
+def write_kernels_csv(table: quorum_mod.KernelTable, path) -> None:
+    """Kernel table as CSV with columns x, K_0 ... K_M, in the bytes
+    csv.writer gives for these cells (CRLF line ends included)."""
+    columns = np.column_stack([table.grid, table.values.T])
+    header = ",".join(["x"] + [f"K_{m}" for m in range(table.n_kernels)])
+    np.savetxt(
+        path, columns, fmt="%.17g", delimiter=",", newline="\r\n", header=header, comments=""
+    )
 
 
 def emit_plot_data(report: RunReport, output_dir) -> list[Path]:
@@ -638,15 +672,6 @@ def _load_config(source: str, **overrides) -> ScenarioConfig:
     return ScenarioConfig.from_dict(payload)
 
 
-def _export_kernels(config: ScenarioConfig, path) -> quorum_mod.KernelTable:
-    """Write the kernel table of the config's homodyne quorum as CSV."""
-    if config.quorum["kind"] != "homodyne":
-        raise ConfigError(f"kernels need a homodyne quorum, not {config.quorum['kind']!r}")
-    table = build_quorum(config.quorum, build_state(config.state).dim_tomo).kernel_table
-    quorum_mod.export_kernels_csv(table, path)
-    return table
-
-
 def main(argv=None) -> int:
     """Exit code 0 when every check passed, 1 when a check failed, 2 when
     the faithfulness gate aborted the run, 3 for a rejected config or
@@ -688,7 +713,11 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "export-kernels":
-            table = _export_kernels(_load_config(args.config), args.out)
+            config = _load_config(args.config)
+            if config.quorum["kind"] != "homodyne":
+                raise ConfigError(f"kernels need a homodyne quorum, not {config.quorum['kind']!r}")
+            table = build_quorum(config.quorum, build_state(config.state).dim_tomo).kernel_table
+            write_kernels_csv(table, args.out)
             print(f"wrote {args.out} (residual {table.residual:.3e})")
             return 0
         config = _load_config(args.config, seed=args.seed, n_records=args.n_records)

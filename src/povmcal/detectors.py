@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .errors import DimensionMismatchError, TailMassError
+from .errors import DimensionMismatchError, ParameterRangeError, PovmInvariantError, TailMassError
 from .qmath import ComplexOperator
 
 # largest off-diagonal magnitude an element of a number-diagonal POVM may have
@@ -33,7 +33,7 @@ class Povm:
 
     def __post_init__(self):
         if not self.elements:
-            raise ValueError("a POVM needs at least one element")
+            raise PovmInvariantError("a POVM needs at least one element")
         dims = {e.shape for e in self.elements}
         if len(dims) != 1:
             raise DimensionMismatchError(f"inconsistent element shapes: {dims}")
@@ -81,7 +81,7 @@ def _binomial_table(p: float, top: np.ndarray, bottom: np.ndarray) -> np.ndarray
 def binomial_loss_matrix(eta: float, dim_in: int, dim_out: int | None = None) -> np.ndarray:
     """Transition matrix L[j, n] = C(n,j) eta^j (1-eta)^(n-j) of a pure-loss channel."""
     if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+        raise ParameterRangeError("eta must lie in [0, 1]")
     dim_out = dim_in if dim_out is None else dim_out
     return _binomial_table(eta, np.arange(dim_in)[None, :], np.arange(dim_out)[:, None])
 
@@ -94,7 +94,7 @@ def amplifier_matrix(gain: float, dim_in: int, dim_out: int | None = None) -> np
     is handled by the caller.
     """
     if gain < 1.0:
-        raise ValueError("gain must be >= 1")
+        raise ParameterRangeError("gain must be >= 1")
     dim_out = dim_in if dim_out is None else dim_out
     p = 1.0 / gain
     return p * _binomial_table(p, np.arange(dim_out)[:, None], np.arange(dim_in)[None, :])
@@ -113,9 +113,9 @@ def photocounter_response(
     the (tiny) amplifier tail so each column sums to exactly 1.
     """
     if not 0.0 < eta_p <= 1.0:
-        raise ValueError("eta_p must lie in (0, 1]")
+        raise ParameterRangeError("eta_p must lie in (0, 1]")
     if nu < 0.0:
-        raise ValueError("nu must be nonnegative")
+        raise ParameterRangeError("nu must be nonnegative")
     tail = thermal_tail_mass(nu, env_cutoff)
     if tail >= 1e-8:
         raise TailMassError(
@@ -142,7 +142,7 @@ def noisy_photocounter(
 def random_povm(dim: int, n_outcomes: int, seed: int) -> Povm:
     """Reproducible random POVM: Wishart-like effects normalized by S^(-1/2) . S^(-1/2)."""
     if n_outcomes < 1:
-        raise ValueError("n_outcomes must be at least 1")
+        raise ParameterRangeError("n_outcomes must be at least 1")
     rng = np.random.default_rng(seed)
     raw = []
     for _ in range(n_outcomes):

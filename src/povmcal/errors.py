@@ -21,6 +21,10 @@ class PovmInvariantError(PovmcalError, ValueError):
     """A POVM violates positivity or completeness beyond tolerance."""
 
 
+class ParameterRangeError(PovmcalError, ValueError):
+    """A model parameter lies outside the range the model admits."""
+
+
 class TailMassError(PovmcalError, ValueError):
     """A truncation cutoff leaves too much probability mass outside."""
 

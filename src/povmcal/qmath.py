@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ParameterRangeError
 
 # relative eigenvalue below which hermitian_inverse_sqrt drops a direction
 EIGENVALUE_FLOOR = 1e-14
@@ -71,7 +71,7 @@ def fock_quadrature_table(max_m: int, xs) -> np.ndarray:
     which avoids factorials and stays stable well past m = 60.
     """
     if max_m < 0:
-        raise ValueError("max_m must be nonnegative")
+        raise ParameterRangeError("max_m must be nonnegative")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     table = np.zeros((max_m + 1, xs.size))
     table[0] = (2.0 / np.pi) ** 0.25 * np.exp(-xs * xs)

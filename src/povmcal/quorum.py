@@ -9,6 +9,7 @@ a standard operator-frame problem and matches what the sampler records.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import (
     KernelConstructionError,
     NonInvertibleNoiseError,
     NotAQuorumError,
+    ParameterRangeError,
 )
 
 # largest condition number of an invertible noise map
@@ -28,6 +30,7 @@ MAX_NOISE_CONDITION = 1e10
 # residual a kernel table may keep
 KERNEL_RIDGE = 1e-10
 KERNEL_RESIDUAL_TOL = 1e-4
+KERNEL_GRID = (-8.0, 8.0, 1.0 / 512.0)  # default (x_min, x_max, step)
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,8 @@ def finite_quorum(settings_vectors) -> FiniteQuorum:
                 f"setting {idx} eigenvectors not orthonormal: deviation {deviation:.3e}"
             )
         settings.append(v)
+    if not settings:
+        raise NotAQuorumError("a quorum needs at least one setting")
     quorum = FiniteQuorum(np.stack(settings), span_check=False)
     d = quorum.dim
     rank = np.linalg.matrix_rank(quorum.projectors().reshape(-1, d * d), tol=1e-10)
@@ -141,7 +146,9 @@ def noise_map_from_superoperator(matrix) -> NoiseMap:
 
 
 def depolarizing_superoperator(p: float, dim: int = 2) -> np.ndarray:
-    """Superoperator of X -> (1-p) X + p Tr[X] I/d."""
+    """Superoperator of X -> (1-p) X + p Tr[X] I/d, for p in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise ParameterRangeError(f"depolarizing p must lie in [0, 1], got {p}")
     eye_vec = qmath.vec(np.eye(dim))
     return (1.0 - p) * np.eye(dim * dim) + (p / dim) * np.outer(eye_vec, eye_vec)
 
@@ -176,7 +183,7 @@ def smeared_fock_pdf_table(max_m: int, eta_h: float, xs) -> np.ndarray:
     avoids numerical convolution.
     """
     if not 0.0 < eta_h <= 1.0:
-        raise ValueError("eta_h must lie in (0, 1]")
+        raise ParameterRangeError("eta_h must lie in (0, 1]")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     psi2 = qmath.fock_quadrature_table(max_m, np.sqrt(eta_h) * xs)
     np.square(psi2, out=psi2)
@@ -234,7 +241,7 @@ class KernelTable:
 def build_diagonal_kernels(
     fock_cutoff: int,
     eta_h: float,
-    grid: tuple[float, float, float] = (-8.0, 8.0, 1.0 / 512.0),
+    grid: tuple[float, float, float] = KERNEL_GRID,
     unbias_cutoff: int | None = None,
 ) -> KernelTable:
     """Kernels K_m (m <= fock_cutoff) unbiased against the smeared densities.
@@ -259,7 +266,10 @@ def build_diagonal_kernels(
     if unbias_cutoff is None:
         unbias_cutoff = fock_cutoff
     if unbias_cutoff < fock_cutoff:
-        raise ValueError("unbias_cutoff must be at least fock_cutoff")
+        raise ParameterRangeError("unbias_cutoff must be at least fock_cutoff")
+    three = len(grid) == 3 and all(isinstance(v, numbers.Real) for v in grid)
+    if not (three and grid[0] < grid[1] and grid[2] > 0):
+        raise KernelConstructionError(f"grid must be [x_min < x_max, step > 0], not {grid!r}")
     x_min, x_max, step = grid
     n_points = int(round((x_max - x_min) / step)) + 1
     xs = x_min + step * np.arange(n_points)
@@ -300,22 +310,9 @@ class HomodyneQuorum:
 def homodyne_quorum(
     fock_cutoff: int,
     eta_h: float,
-    grid: tuple[float, float, float] = (-8.0, 8.0, 1.0 / 512.0),
+    grid: tuple[float, float, float] = KERNEL_GRID,
     unbias_cutoff: int | None = None,
 ) -> HomodyneQuorum:
     table = build_diagonal_kernels(fock_cutoff, eta_h, grid, unbias_cutoff)
     return HomodyneQuorum(float(eta_h), int(fock_cutoff), smeared_sigma2(eta_h), table)
 
-
-def export_kernels_csv(table: KernelTable, path) -> None:
-    """Write the kernel table as CSV with columns x, K_0 ... K_M, in the
-    bytes csv.writer gives for these cells (CRLF line ends included)."""
-    np.savetxt(
-        path,
-        np.column_stack([table.grid, table.values.T]),
-        fmt="%.17g",
-        delimiter=",",
-        newline="\r\n",
-        header=",".join(["x"] + [f"K_{m}" for m in range(table.n_kernels)]),
-        comments="",
-    )

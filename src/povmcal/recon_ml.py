@@ -35,7 +35,6 @@ leaves the fixed point, the certificate and the stopping rule unchanged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -446,24 +445,6 @@ class MlResult:
     ll_trace: np.ndarray
     completeness_deviation: float
     min_eigenvalue: float
-
-    def export_json(self, path) -> None:
-        payload = {
-            "final_log_likelihood": self.final_log_likelihood,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "ll_gap": self.ll_gap,
-            "ll_trace": self.ll_trace.tolist(),
-            "completeness_deviation": self.completeness_deviation,
-            "min_eigenvalue": self.min_eigenvalue,
-            "povm": [
-                {"real": np.real(p).tolist(), "imag": np.imag(p).tolist()}
-                for p in self.povm_hat.elements
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def maximize(

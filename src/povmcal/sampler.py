@@ -8,7 +8,6 @@ regardless of scheduling; block outputs are concatenated in block order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -229,32 +228,3 @@ def sample_homodyne_twinbeam(
         offset += size
     return Dataset(ns, phases, results, int(seed), scenario_id, kind="homodyne")
 
-
-def export_csv(dataset: Dataset, path) -> None:
-    """Write records as CSV (header n,k,result), bit-stable for a fixed seed."""
-    finite = dataset.kind == "finite"
-    with open(path, "w", newline="") as fh:
-        fh.write("n,k,result\n")
-        for i in range(len(dataset)):
-            if finite:
-                fh.write(f"{dataset.outcome_n[i]},{dataset.setting_k[i]},{dataset.result[i]}\n")
-            else:
-                fh.write(
-                    f"{dataset.outcome_n[i]},{dataset.setting_k[i]:.17g},"
-                    f"{dataset.result[i]:.17g}\n"
-                )
-
-
-def export_sidecar(dataset: Dataset, path, parameters: dict | None = None) -> None:
-    """JSON sidecar with seed, scenario parameters and outcome counts."""
-    payload = {
-        "seed": dataset.seed,
-        "scenario_id": dataset.scenario_id,
-        "kind": dataset.kind,
-        "n_records": len(dataset),
-        "counts_by_n": dataset.counts_by_n.tolist(),
-        "parameters": parameters or {},
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .errors import DimensionMismatchError, UnnormalizableStateError, UnsupportedStructureError
+from .errors import (
+    DimensionMismatchError,
+    ParameterRangeError,
+    UnnormalizableStateError,
+    UnsupportedStructureError,
+)
 from .qmath import ComplexOperator
 
 
@@ -84,7 +89,7 @@ class BipartiteState:
 def maximally_entangled(d: int) -> BipartiteState:
     """|Psi> = sum_i |i>|i> / sqrt(d) as a density operator on d*d dimensions."""
     if d < 2:
-        raise ValueError("d must be at least 2")
+        raise ParameterRangeError("d must be at least 2")
     return BipartiteState(d, d, schmidt=np.full(d, 1.0 / np.sqrt(d)))
 
 
@@ -98,7 +103,7 @@ def twin_beam(xi: float, fock_cutoff: int) -> BipartiteState:
     if not 0.0 <= xi < 1.0:
         raise UnnormalizableStateError(f"twin beam requires 0 <= xi < 1, got {xi}")
     if fock_cutoff < 1:
-        raise ValueError("fock_cutoff must be positive")
+        raise ParameterRangeError("fock_cutoff must be positive")
     m = np.arange(fock_cutoff + 1)
     amplitudes = xi**m
     amplitudes /= np.sqrt(np.sum(amplitudes**2))

@@ -8,13 +8,18 @@ The middle section holds reference operations that a calibration never
 runs: tensor products and partial traces, invariant checks of POVMs and
 states, forward maps, and the comparison of two estimators' errors.
 
-The last section keeps former implementations of code that was rewritten
+The next section keeps former implementations of code that was rewritten
 to use less memory: one boolean mask per label instead of grouped records,
 and full-size temporaries instead of in-place updates.  The rewrites do the
 same floating-point operations in the same order, so tests require them to
 match these bit for bit.
+
+The last section keeps the file writers that the library modules had
+before the runner took over every write; tests require the runner's files
+to match their bytes.
 """
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -390,3 +395,56 @@ def former_diagonal_rows(data, weights, eta_h):
     rows = np.searchsorted(observed, data.outcome_n)
     record = record[np.argsort(rows[record], kind="stable")]
     return outcomes, np.ascontiguousarray(responses[record]), rows[record], record
+
+
+# --- former file writers ------------------------------------------------------
+
+
+def former_export_csv(dataset, path):
+    """``dataset.csv`` as ``sampler.export_csv`` wrote it, one f-string per record."""
+    finite = dataset.kind == "finite"
+    with open(path, "w", newline="") as fh:
+        fh.write("n,k,result\n")
+        for i in range(len(dataset)):
+            if finite:
+                fh.write(f"{dataset.outcome_n[i]},{dataset.setting_k[i]},{dataset.result[i]}\n")
+            else:
+                fh.write(
+                    f"{dataset.outcome_n[i]},{dataset.setting_k[i]:.17g},"
+                    f"{dataset.result[i]:.17g}\n"
+                )
+
+
+def former_export_sidecar(dataset, path, parameters=None):
+    """``dataset.json`` as ``sampler.export_sidecar`` wrote it."""
+    payload = {
+        "seed": dataset.seed,
+        "scenario_id": dataset.scenario_id,
+        "kind": dataset.kind,
+        "n_records": len(dataset),
+        "counts_by_n": dataset.counts_by_n.tolist(),
+        "parameters": parameters or {},
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def former_export_json(result, path):
+    """``ml_result.json`` as ``recon_ml.MlResult.export_json`` wrote it."""
+    payload = {
+        "final_log_likelihood": result.final_log_likelihood,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "ll_gap": result.ll_gap,
+        "ll_trace": result.ll_trace.tolist(),
+        "completeness_deviation": result.completeness_deviation,
+        "min_eigenvalue": result.min_eigenvalue,
+        "povm": [
+            {"real": np.real(p).tolist(), "imag": np.imag(p).tolist()}
+            for p in result.povm_hat.elements
+        ],
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -8,18 +8,22 @@ from pathlib import Path
 import pytest
 
 import povmcal
+from povmcal import recon_ml, sampler
 from povmcal.cli import (
     RunReport,
     ScenarioConfig,
+    build_detector,
     build_quorum,
     build_state,
     emit_plot_data,
     main,
     run,
+    write_kernels_csv,
 )
 from povmcal.errors import ScenarioAbort
-from povmcal.quorum import export_kernels_csv
 from povmcal.scenarios import list_scenarios, scenario_config
+
+from oracles import former_export_csv, former_export_json, former_export_sidecar
 
 
 def small_sampled_config(**overrides):
@@ -185,9 +189,40 @@ class TestRun:
         cfg = small_sampled_config(save_dataset=True, strategy="averaging", bootstrap_reps=0)
         report = run(cfg, tmp_path)
         assert (tmp_path / "dataset.csv").exists()
-        assert (tmp_path / "dataset.json").exists()
         meta = json.loads((tmp_path / "dataset.json").read_text())
-        assert meta["n_records"] == 4000
+        assert meta["n_records"] == 4000 and meta["seed"] == cfg.seed
+        assert meta["scenario_id"] == "qubit-sampled" and meta["kind"] == "finite"
+        assert meta["parameters"] == {"scenario": "qubit-sampled"}
+        assert meta["counts_by_n"] == report.dataset_summary["counts_by_n"]
+
+    @pytest.mark.parametrize("scenario", ["qubit-sampled", "fig4"])
+    def test_files_match_former_writers(self, tmp_path, scenario):
+        # the dataset and ML files keep the bytes of the writers that the
+        # sampler and ML modules had
+        cfg = scenario_config(scenario)
+        cfg.update(n_records=5000, bootstrap_reps=2, save_dataset=True)
+        if scenario == "fig4":
+            cfg["state"].update(xi=0.6, fock_cutoff=20)
+            cfg["ml"]["fock_cutoff"] = 14
+        run(ScenarioConfig.from_dict(cfg), tmp_path / "run")
+
+        state = build_state(cfg["state"])
+        povm = build_detector(cfg["detector"], state)
+        tomographer = build_quorum(cfg["quorum"], state.dim_tomo)
+        args = (state, povm, tomographer, cfg["n_records"], cfg["seed"], cfg["name"])
+        if scenario == "fig4":
+            data = sampler.sample_homodyne_twinbeam(*args)
+            problem = recon_ml.build_problem_diagonal(data, state, tomographer, 14)
+        else:
+            data = sampler.sample_finite(*args)
+            problem = recon_ml.build_problem_finite(data, state, tomographer)
+        former = tmp_path / "former"
+        former.mkdir()
+        former_export_csv(data, former / "dataset.csv")
+        former_export_sidecar(data, former / "dataset.json", {"scenario": cfg["name"]})
+        former_export_json(recon_ml.maximize(problem), former / "ml_result.json")
+        for name in ("dataset.csv", "dataset.json", "ml_result.json"):
+            assert (tmp_path / "run" / name).read_bytes() == (former / name).read_bytes(), name
 
     @pytest.mark.properties
     @pytest.mark.parametrize(
@@ -315,7 +350,7 @@ class TestMainCli:
         assert main(["export-kernels", str(path), "--out", str(tmp_path / "cli.csv")]) == 0
         table = build_quorum(cfg["quorum"], build_state(cfg["state"]).dim_tomo).kernel_table
         assert table.values.shape == (7, 3073)
-        export_kernels_csv(table, tmp_path / "direct.csv")
+        write_kernels_csv(table, tmp_path / "direct.csv")
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
     def test_export_kernels_rejects_finite_quorum(self, tmp_path, capsys):
@@ -338,6 +373,12 @@ class TestMainCli:
             ("state without d", "state of kind 'maximally_entangled' is missing keys: ['d']"),
             ("quorum without kind", "quorum kind must be one of"),
             ("string seed", "seed must be int, not '7'"),
+            ("state.d 1", "d must be at least 2"),
+            ("state.fock_cutoff 0", "fock_cutoff must be positive"),
+            ("unbias_cutoff below fock_cutoff", "unbias_cutoff must be at least fock_cutoff"),
+            ("two-number grid", "grid must be [x_min < x_max, step > 0], not [-8.0, 8.0]"),
+            ("display_cutoff -1", "display_cutoff must be nonnegative"),
+            ("max_condition_number -1", "max_condition_number must be at least 1"),
         ],
     )
     def test_rejected_config_exit_code(self, tmp_path, capsys, command, fault, message):
@@ -358,11 +399,48 @@ class TestMainCli:
             del cfg["quorum"]["kind"]
         elif fault == "string seed":
             cfg["seed"] = "7"
+        elif fault == "state.d 1":
+            cfg["state"] = {"kind": "maximally_entangled", "d": 1}
+        elif fault == "state.fock_cutoff 0":
+            cfg["state"]["fock_cutoff"] = 0
+        elif fault == "unbias_cutoff below fock_cutoff":
+            cfg["quorum"]["unbias_cutoff"] = cfg["quorum"]["fock_cutoff"] - 1
+        elif fault == "two-number grid":
+            cfg["quorum"]["grid"] = [-8.0, 8.0]
+        elif fault == "display_cutoff -1":
+            cfg["display_cutoff"] = -1
+        elif fault == "max_condition_number -1":
+            cfg["max_condition_number"] = -1
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg)[:-1] if fault == "malformed JSON" else json.dumps(cfg))
         source = "fig9" if fault == "unknown builtin" else str(path)
         out = str(tmp_path / "out")
         assert main([command, source, "--output-dir" if command == "run" else "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "scenario, block, key, value, message",
+        [
+            ("fig2", "detector", "eta_p", 1.5, "eta_p must lie in (0, 1]"),
+            ("fig2", "detector", "nu", -1, "nu must be nonnegative"),
+            ("qubit-sampled", "detector", "n_outcomes", 0, "n_outcomes must be at least 1"),
+            ("qubit-sampled", "noise", "p", 2.0, "depolarizing p must lie in [0, 1]"),
+            ("qutrit-oracle", "quorum", "n_settings", 0, "a quorum needs at least one setting"),
+        ],
+    )
+    def test_out_of_range_value_exit_code(
+        self, tmp_path, capsys, scenario, block, key, value, message
+    ):
+        # values that only a run builds: the detector, the noise and the bases
+        cfg = scenario_config(scenario)
+        if block == "noise":
+            cfg["noise"] = {"kind": "depolarizing"}
+        cfg[block][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "out").exists()

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from povmcal.cli import write_kernels_csv
 from povmcal.errors import KernelConstructionError, NonInvertibleNoiseError, NotAQuorumError
 from povmcal.qmath import fock_quadrature_table
 from povmcal.quorum import (
@@ -10,7 +11,6 @@ from povmcal.quorum import (
     compute_dual_set,
     depolarizing_superoperator,
     KernelTable,
-    export_kernels_csv,
     finite_quorum,
     homodyne_quorum,
     noise_corrected_duals,
@@ -290,7 +290,7 @@ class TestDiagonalKernels:
     def test_csv_export_round_trip_shape(self, tmp_path):
         table = build_diagonal_kernels(3, 0.9, grid=(-4.0, 4.0, 1.0 / 64.0))
         path = tmp_path / "kernels.csv"
-        export_kernels_csv(table, path)
+        write_kernels_csv(table, path)
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "x,K_0,K_1,K_2,K_3"
         assert len(rows) == 1 + table.values.shape[1]
@@ -301,7 +301,7 @@ class TestDiagonalKernels:
         )
         table = KernelTable(-0.5, 0.25, values, 1, 0.0)
         path = tmp_path / "kernels.csv"
-        export_kernels_csv(table, path)
+        write_kernels_csv(table, path)
         assert path.read_bytes() == csv_writer_bytes(table, tmp_path / "reference.csv")
         assert b"\r\n" in path.read_bytes()
 
@@ -309,7 +309,7 @@ class TestDiagonalKernels:
         values = np.random.default_rng(5).normal(0.0, 1e3, (2, 2049))
         table = KernelTable(-0.5, 0.25, values, 1, 0.0)
         path = tmp_path / "kernels.csv"
-        export_kernels_csv(table, path)
+        write_kernels_csv(table, path)
         assert path.read_bytes() == csv_writer_bytes(table, tmp_path / "reference.csv")
 
 

@@ -1,8 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
+from povmcal.cli import write_dataset_csv
 from povmcal.detectors import noisy_photocounter, random_povm
 from povmcal.errors import UnsupportedStructureError
 from povmcal.quorum import (
@@ -13,8 +12,6 @@ from povmcal.quorum import (
 )
 from povmcal.sampler import (
     Dataset,
-    export_csv,
-    export_sidecar,
     group_by_label,
     joint_probability_tables,
     sample_finite,
@@ -22,7 +19,12 @@ from povmcal.sampler import (
 )
 from povmcal.states import BipartiteState, maximally_entangled, twin_beam
 
-from oracles import former_sample_finite, former_sample_homodyne_twinbeam, projective_povm
+from oracles import (
+    former_export_csv,
+    former_sample_finite,
+    former_sample_homodyne_twinbeam,
+    projective_povm,
+)
 
 HQ_SMALL = homodyne_quorum(6, 0.9, grid=(-6.0, 6.0, 1.0 / 256.0))
 
@@ -255,33 +257,31 @@ class TestDatasetIO:
         povm = random_povm(2, 3, seed=4)
         data = sample_finite(state, povm, pauli_quorum(), 5000, seed=12, scenario_id="io")
         path = tmp_path / "data.csv"
-        sidecar = tmp_path / "data.json"
-        export_csv(data, path)
-        export_sidecar(data, sidecar, {"note": "test"})
+        write_dataset_csv(data, path)
         first_bytes = path.read_bytes()
-        export_csv(data, path)
+        write_dataset_csv(data, path)
         assert path.read_bytes() == first_bytes
 
         for column, written in zip(
             (data.outcome_n, data.setting_k, data.result), read_records(path, int)
         ):
             np.testing.assert_array_equal(written, column)
-        meta = json.loads(sidecar.read_text())
-        assert meta["seed"] == 12 and meta["scenario_id"] == "io" and meta["kind"] == "finite"
-        assert meta["n_records"] == 5000 and meta["parameters"] == {"note": "test"}
-        assert meta["counts_by_n"] == data.counts_by_n.tolist()
+        former_export_csv(data, tmp_path / "former.csv")
+        assert first_bytes == (tmp_path / "former.csv").read_bytes()
 
     def test_homodyne_round_trip_exact_floats(self, tmp_path):
         state = twin_beam(0.6, 10)
         povm = noisy_photocounter(0.9, 0.1, fock_cutoff=10, env_cutoff=26)
         data = sample_homodyne_twinbeam(state, povm, HQ_SMALL, 3000, seed=13)
         path = tmp_path / "data.csv"
-        export_csv(data, path)
+        write_dataset_csv(data, path)
         # %.17g round-trips every float64 exactly
         for column, written in zip(
             (data.outcome_n, data.setting_k, data.result), read_records(path, float)
         ):
             np.testing.assert_array_equal(written, column)
+        former_export_csv(data, tmp_path / "former.csv")
+        assert path.read_bytes() == (tmp_path / "former.csv").read_bytes()
 
     def test_record_view(self):
         data = Dataset(
