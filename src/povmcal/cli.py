@@ -74,6 +74,8 @@ BLOCK_KEYS = {
     "noise": {"depolarizing": {"p": NUMBER}},
 }
 OPTIONAL_KEYS = frozenset({"grid", "unbias_cutoff"})
+# block keys whose values may not be negative, whatever the block's kind
+NONNEGATIVE_KEYS = frozenset({"seed", "fock_cutoff"})
 ML_KEYS = {"fock_cutoff": INT}  # what an ``ml`` block may set
 
 
@@ -110,6 +112,8 @@ class ScenarioConfig:
             raise ConfigError("display_cutoff must be nonnegative")
         if not self.max_condition_number >= 1.0:
             raise ConfigError("max_condition_number must be at least 1")
+        if not self.svd_tolerance >= 0.0:
+            raise ConfigError("svd_tolerance must be nonnegative")
         wants_ml = self.strategy in ("ml", "both")
         if wants_ml and self.exact_probabilities:
             raise ConfigError("maximum likelihood requires sampled data")
@@ -179,6 +183,9 @@ def _check_block(block: str, params: dict) -> None:
     if unknown:
         raise ConfigError(f"unknown {block} keys for kind {kind!r}: {unknown}")
     _check_types(f"{block}.", params, types)
+    for key in sorted(NONNEGATIVE_KEYS & set(params)):
+        if params[key] < 0:
+            raise ConfigError(f"{block}.{key} must be nonnegative, not {params[key]!r}")
 
 
 @dataclass
@@ -503,9 +510,10 @@ def _fit_averaging(config, data, state, povm, quorum_obj, map_r, noise) -> _Fit:
 def _fit_ml(config, data, state, quorum_obj) -> _Fit:
     """Constrained maximum likelihood with bootstrap error bars.
 
-    Each repetition solves the point problem reweighted by the resample's
-    draw counts, so every repetition keeps the point estimate's outcome
-    set (an outcome a resample misses solves to 0).  ``ml_certified``
+    Each repetition solves the point problem's ``draw``: the finite count
+    tensor drawn as one multinomial, or the diagonal rows reweighted by
+    the drawn records' counts.  Every repetition keeps the point estimate's
+    outcome set (an outcome a resample misses solves to 0).  ``ml_certified``
     holds only if the point estimate and every repetition stopped on the
     likelihood-gap certificate.
     """
@@ -523,12 +531,12 @@ def _fit_ml(config, data, state, quorum_obj) -> _Fit:
     result = recon_ml.maximize(problem)
     rep_converged: list[bool] = []
 
-    def rerun(indices):
-        res = recon_ml.maximize(problem.resample(indices))
+    def rerun(rng):
+        res = recon_ml.maximize(problem.draw(rng))
         rep_converged.append(res.converged)
         return _flatten(values_of(res.povm_hat))
 
-    boot = stats.bootstrap(data, rerun, config.bootstrap_reps, config.seed)
+    boot = stats.bootstrap(rerun, config.bootstrap_reps, config.seed)
     values = values_of(result.povm_hat)
 
     monotone = bool(np.all(np.diff(result.ll_trace) >= -recon_ml.MONOTONE_SLACK))

@@ -228,12 +228,12 @@ class KernelTable:
         pos = np.clip((xs - self.x_min) / self.step, 0.0, self.values.shape[1] - 1.0)
         left = np.minimum(pos.astype(np.int64), self.values.shape[1] - 2)
         frac = pos - left
-        # two (n_kernels, len(xs)) buffers, updated in place
+        # one (n_kernels, len(xs)) buffer, the right-hand term added row by row
         vals = self.values[:, left]
         vals *= 1.0 - frac
-        right = self.values[:, left + 1]
-        right *= frac
-        vals += right
+        right = left + 1
+        for row, kernel in zip(vals, self.values):
+            row += kernel[right] * frac
         vals *= inside
         return vals, inside
 

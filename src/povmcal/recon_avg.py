@@ -56,10 +56,7 @@ def estimate_conditioned_finite(
     n_settings, d = effective.shape[0], effective.shape[-1]
     scaled = n_settings * effective  # (K, d, d, d)
 
-    counts = np.zeros(
-        (int(data.outcome_n.max()) + 1, n_settings, scaled.shape[1]), dtype=np.int64
-    )
-    np.add.at(counts, (data.outcome_n, data.setting_k, data.result), 1)
+    counts = data.cell_counts((int(data.outcome_n.max()) + 1, n_settings, scaled.shape[1]))
     total = len(data)
 
     flat_ops = scaled.reshape(-1, d, d)
@@ -126,9 +123,14 @@ def estimate_conditioned_homodyne(
         n_inside += int(inside.sum())
         count = int(hi - lo)
         mean = block.mean(axis=1)
-        stderr = block.std(axis=1, ddof=1) / np.sqrt(count) if count > 1 else np.full(
-            mean.shape, np.inf
-        )
+        if count > 1:
+            # the sample standard deviation in place, in the operation order
+            # of ndarray.std(axis=1, ddof=1)
+            block -= mean[:, None]
+            np.square(block, out=block)
+            stderr = np.sqrt(block.sum(axis=1) / (count - 1)) / np.sqrt(count)
+        else:
+            stderr = np.full(mean.shape, np.inf)
         estimates.append(
             ConditionedEstimate(int(n), count / total, count, mean, stderr)
         )

@@ -74,7 +74,8 @@ class DiagonalMlProblem:
     theta[n, m] = <m|P_n|m>.  Rows are sorted stably by outcome, so each
     outcome's block is a contiguous view, and row i stands for
     ``multiplicity[i]`` copies of dataset record ``record[i]``: once each
-    for a dataset, its draw count for a bootstrap resample.
+    for a dataset, its draw count for a bootstrap resample.  ``n_records``
+    is the dataset's length, underflowed records included.
     """
 
     rows: np.ndarray  # (R, M+1) nonnegative, grouped by outcome
@@ -83,6 +84,7 @@ class DiagonalMlProblem:
     dim: int  # M+1
     multiplicity: np.ndarray  # (R,) records each row stands for
     record: np.ndarray  # (R,) dataset index of each row's record
+    n_records: int  # N, the records a bootstrap repetition draws
 
     def __post_init__(self):
         # per-outcome contiguous (rows, multiplicity) views: the sweep reduces
@@ -119,7 +121,13 @@ class DiagonalMlProblem:
             self.dim,
             multiplicity[drawn],
             self.record[drawn],
+            self.n_records,
         )
+
+    def draw(self, rng: np.random.Generator) -> "DiagonalMlProblem":
+        """Problem of one bootstrap repetition: the resample of N record
+        indices drawn uniformly with replacement from ``rng``."""
+        return self.resample(rng.integers(0, self.n_records, self.n_records))
 
     @property
     def n_outcomes(self) -> int:
@@ -193,15 +201,14 @@ class FiniteMlProblem:
     Records are compressed into the count tensor counts[n, k, m]; each
     (k, m) pair carries the effective system-side operator
     T_km = Tr_2[(1 (x) |b^k_m><b^k_m|) R], so a record's probability is
-    Tr[P_n T_km].  ``cells`` holds each dataset record's flat index into
-    the count tensor, which is all a bootstrap resample needs.
+    Tr[P_n T_km].  The likelihood sees the records only through the
+    counts, so a bootstrap repetition needs nothing else either.
     """
 
     effects: np.ndarray  # (K, d_t, ds, ds)
     counts: np.ndarray  # (n_out, K, d_t)
     outcomes: tuple[int, ...]
     dim: int  # ds
-    cells: np.ndarray | None = None  # (N,) flat counts index per record
 
     def __post_init__(self):
         # probabilities are linear in the real coordinates x_a = Tr[E_a P_n]
@@ -209,11 +216,15 @@ class FiniteMlProblem:
         self._basis = _hermitian_basis(self.dim)
         self._design = np.real(np.einsum("aij,kmji->akm", self._basis, self.effects))
 
-    def resample(self, indices: np.ndarray) -> "FiniteMlProblem":
-        """Problem of the bootstrap resample that draws the dataset records
-        ``indices``: the count tensor of the drawn records' cells, with the
-        outcome set kept."""
-        counts = np.bincount(self.cells[indices], minlength=self.counts.size)
+    def draw(self, rng: np.random.Generator) -> "FiniteMlProblem":
+        """Problem of one bootstrap repetition, with the outcome set kept.
+
+        Drawing N records with replacement puts them into the cells of the
+        count tensor as one multinomial draw with probabilities counts / N,
+        so the repetition's counts are drawn as that from ``rng``.
+        """
+        n = self.counts.sum()
+        counts = rng.multinomial(int(n), self.counts.ravel() / n)
         return replace(self, counts=counts.reshape(self.counts.shape).astype(float))
 
     @property
@@ -280,17 +291,18 @@ class FiniteMlProblem:
         curvature = np.divide(
             self.counts, probs**2, out=np.zeros_like(probs), where=self.counts > 0
         )
-        hessian = np.einsum("akm,nkm,bkm->nab", self._design, curvature, self._design)
+        design = self._design.reshape(len(self._basis), -1)
+        hessian = (design * curvature.reshape(len(probs), 1, -1)) @ design.T
         w, u = np.linalg.eigh(elements)
         excess = grad - _lagrange(elements, grad)
         slack = np.real(np.einsum("nia,nij,nja->na", u.conj(), excess, u))
         pinned = (w <= PIN_EIGENVALUE) & (slack <= 0.0)
         face = (u * pinned[:, None, :]) @ _dagger(u)
         free = np.eye(self.dim**2) - _face_block(self._basis, face)
-        inverse = np.linalg.pinv(free @ hessian @ free, hermitian=True)
+        inverse = _pinv_symmetric(free @ hessian @ free)
         g = np.real(np.einsum("aij,nji->na", self._basis, grad))
         pulled = np.einsum("nab,nb->na", inverse, g)
-        nu = np.linalg.pinv(inverse.sum(axis=0), hermitian=True) @ pulled.sum(axis=0)
+        nu = _pinv_symmetric(inverse.sum(axis=0)) @ pulled.sum(axis=0)
         step = pulled - inverse @ nu
         return np.einsum("na,aij->nij", step, self._basis)
 
@@ -311,6 +323,17 @@ def _lagrange(elements: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Lambda, the Hermitian part of sum_n R_n P_n."""
     lagrange = np.einsum("nij,njk->ik", grad, elements)
     return (lagrange + lagrange.conj().T) / 2.0
+
+
+def _pinv_symmetric(matrix: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of a real symmetric matrix, or of a stack of them,
+    from one ``eigh``: eigenvalues with |w| <= 1e-15 max |w| count as zero,
+    the default cutoff of ``np.linalg.pinv``."""
+    w, u = np.linalg.eigh(matrix)
+    magnitude = np.abs(w)
+    kept = magnitude > 1e-15 * magnitude.max(axis=-1, keepdims=True)
+    inverse = np.divide(1.0, w, out=np.zeros_like(w), where=kept)
+    return (u * inverse[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
 def _face_block(basis: np.ndarray, face: np.ndarray) -> np.ndarray:
@@ -405,6 +428,7 @@ def build_problem_diagonal(
         fock_cutoff + 1,
         np.ones(record.size),
         record,
+        len(data),
     )
 
 
@@ -426,13 +450,8 @@ def build_problem_finite(
         effects[k] = np.einsum("mp,apbq,mq->mab", v.conj(), rho4, v)
 
     outcomes, rows, _ = _outcome_rows(data.outcome_n)
-    shape = (len(outcomes), quorum.n_settings, dt)
-    size = int(np.prod(shape))
-    # the smallest unsigned type that holds every cell keeps the index compact
-    cells = np.ravel_multi_index((rows, data.setting_k, data.result), shape)
-    cells = cells.astype(np.min_scalar_type(size - 1))
-    counts = np.bincount(cells, minlength=size).reshape(shape).astype(float)
-    return FiniteMlProblem(effects, counts, outcomes, ds, cells)
+    counts = data.cell_counts((len(outcomes), quorum.n_settings, dt), rows)
+    return FiniteMlProblem(effects, counts.astype(float), outcomes, ds)
 
 
 @dataclass(frozen=True)

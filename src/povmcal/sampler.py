@@ -60,13 +60,27 @@ class Dataset:
             result=self.result[indices],
         )
 
+    def cell_counts(self, shape: tuple[int, int, int], outcome_row=None) -> np.ndarray:
+        """Count tensor of finite records over (outcome, setting, result)
+        cells of ``shape``, a record's outcome row being ``outcome_row[i]``,
+        by default its outcome label."""
+        rows = self.outcome_n if outcome_row is None else outcome_row
+        cells = np.ravel_multi_index((rows, self.setting_k, self.result), shape)
+        return np.bincount(cells, minlength=int(np.prod(shape))).reshape(shape)
+
 
 def group_by_label(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(keys, order, bounds)``: the distinct labels in increasing order, the
     stable permutation that sorts ``labels``, and the bounds of each label's
     run in it, so the records with label ``keys[g]`` are
-    ``order[bounds[g]:bounds[g + 1]]``, in record order."""
-    order = np.argsort(labels, kind="stable")
+    ``order[bounds[g]:bounds[g + 1]]``, in record order.
+
+    The labels are nonnegative integers.  They are sorted in the narrowest
+    type that holds them, where a stable sort of up to 16 bits is a radix
+    sort; the permutation is the same.
+    """
+    narrow = labels.astype(np.min_scalar_type(labels.max())) if labels.size else labels
+    order = np.argsort(narrow, kind="stable")
     ordered = labels[order]
     first = np.ones(ordered.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])

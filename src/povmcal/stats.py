@@ -8,7 +8,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import BootstrapError, PovmcalError
-from .sampler import Dataset
 
 _STREAM_BOOTSTRAP = 2
 # largest share of repetitions that may fail before the report is refused
@@ -27,33 +26,31 @@ class BootstrapReport:
 
 
 def bootstrap(
-    data: Dataset,
-    estimator: Callable[[np.ndarray], np.ndarray],
+    estimator: Callable[[np.random.Generator], np.ndarray],
     n_reps: int,
     seed: int,
 ) -> BootstrapReport:
-    """Resample whole records with replacement and re-run the estimator.
+    """Re-run the estimator on ``n_reps`` bootstrap repetitions.
 
-    Records are resampled jointly (n, k, result), preserving their
-    correlations: each repetition hands ``estimator`` the drawn record
-    indices, which it applies with ``data.subset(indices)`` or passes to an
-    ML problem's ``resample(indices)``.  Each repetition
-    draws from its own deterministic substream, so the report depends only
-    on (data, seed).  Repetitions that fail with a toolkit error or a
-    linear-algebra error are skipped; more than ``MAX_FAILURE_FRACTION`` of
-    them failing aborts the report.  Any other exception is a bug and
+    Repetition ``rep`` hands ``estimator`` its own generator,
+    ``np.random.default_rng([seed, _STREAM_BOOTSTRAP, rep])``, and the
+    estimator draws its resample from it: an ML problem's ``draw(rng)``
+    draws a finite count tensor as one multinomial, and the diagonal
+    problem's dataset record indices, which resample whole records
+    (n, k, result) jointly.  The report therefore depends only on the
+    estimator and ``seed``.  Repetitions that fail with a toolkit error or
+    a linear-algebra error are skipped; more than ``MAX_FAILURE_FRACTION``
+    of them failing aborts the report.  Any other exception is a bug and
     propagates.
     """
     if n_reps < 2:
         raise ValueError("bootstrap needs at least 2 repetitions")
-    n = len(data)
     results = []
     failures = 0
     for rep in range(n_reps):
         rng = np.random.default_rng([seed, _STREAM_BOOTSTRAP, rep])
-        indices = rng.integers(0, n, n)
         try:
-            results.append(np.asarray(estimator(indices), dtype=float))
+            results.append(np.asarray(estimator(rng), dtype=float))
         except (PovmcalError, np.linalg.LinAlgError):
             failures += 1
     if failures > MAX_FAILURE_FRACTION * n_reps:

@@ -12,7 +12,9 @@ The next section keeps former implementations of code that was rewritten
 to use less memory: one boolean mask per label instead of grouped records,
 and full-size temporaries instead of in-place updates.  The rewrites do the
 same floating-point operations in the same order, so tests require them to
-match these bit for bit.
+match these bit for bit.  The one exception is the finite Newton direction,
+whose Hessian and pseudo-inverses now come from other BLAS and LAPACK
+calls; tests hold it to 1e-12 relative.
 
 The last section keeps the file writers that the library modules had
 before the runner took over every write; tests require the runner's files
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from povmcal import qmath, sampler
+from povmcal import qmath, recon_ml, sampler
 from povmcal.detectors import Povm, binomial_loss_matrix
 from povmcal.errors import DimensionMismatchError, PovmInvariantError
 
@@ -354,6 +356,45 @@ def former_kernel_evaluate(table, xs):
     vals = table.values[:, left] * (1.0 - frac) + table.values[:, left + 1] * frac
     vals *= inside
     return vals, inside
+
+
+def former_two_buffer_kernel_evaluate(table, xs):
+    """``KernelTable.evaluate`` with a second full-size buffer for the right-hand term."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    inside = (xs >= table.x_min) & (xs <= table.x_max)
+    pos = np.clip((xs - table.x_min) / table.step, 0.0, table.values.shape[1] - 1.0)
+    left = np.minimum(pos.astype(np.int64), table.values.shape[1] - 2)
+    frac = pos - left
+    vals = table.values[:, left]
+    vals *= 1.0 - frac
+    right = table.values[:, left + 1]
+    right *= frac
+    vals += right
+    vals *= inside
+    return vals, inside
+
+
+def former_newton_direction(problem, elements, grad):
+    """``FiniteMlProblem.newton_direction`` with its three-operand einsum
+    Hessian and two ``np.linalg.pinv`` calls."""
+    probs = problem._probs(elements)
+    curvature = np.divide(
+        problem.counts, probs**2, out=np.zeros_like(probs), where=problem.counts > 0
+    )
+    design = problem._design
+    hessian = np.einsum("akm,nkm,bkm->nab", design, curvature, design)
+    w, u = np.linalg.eigh(elements)
+    excess = grad - recon_ml._lagrange(elements, grad)
+    slack = np.real(np.einsum("nia,nij,nja->na", u.conj(), excess, u))
+    pinned = (w <= recon_ml.PIN_EIGENVALUE) & (slack <= 0.0)
+    face = (u * pinned[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    free = np.eye(problem.dim**2) - recon_ml._face_block(problem._basis, face)
+    inverse = np.linalg.pinv(free @ hessian @ free, hermitian=True)
+    g = np.real(np.einsum("aij,nji->na", problem._basis, grad))
+    pulled = np.einsum("nab,nb->na", inverse, g)
+    nu = np.linalg.pinv(inverse.sum(axis=0), hermitian=True) @ pulled.sum(axis=0)
+    step = pulled - inverse @ nu
+    return np.einsum("na,aij->nij", step, problem._basis)
 
 
 def former_estimate_conditioned_homodyne(data, hq):

@@ -66,8 +66,8 @@ def test_criterion_2_finite_sampled_coverage():
         point = recover_povm(estimate_conditioned_finite(data, quorum, duals), map_r)
         outcomes = point.outcomes
 
-        def entries(indices):
-            ds = data.subset(indices)
+        def entries(rng):
+            ds = data.subset(rng.integers(0, len(data), len(data)))
             est = recover_povm(estimate_conditioned_finite(ds, quorum, duals), map_r)
             by_outcome = dict(zip(est.outcomes, est.values))
             stack = np.stack(
@@ -75,7 +75,7 @@ def test_criterion_2_finite_sampled_coverage():
             )
             return np.concatenate([np.real(stack).ravel(), np.imag(stack).ravel()])
 
-        boot = bootstrap(data, entries, n_reps=25, seed=1000 + seed)
+        boot = bootstrap(entries, n_reps=25, seed=1000 + seed)
         half = boot.stdev.size // 2
         stderr = np.sqrt(boot.stdev[:half] ** 2 + boot.stdev[half:] ** 2).reshape(
             point.values.shape

@@ -114,6 +114,10 @@ class TestScenarioConfig:
             ("fig4", "ml", "fock_cutoff", True, "ml.fock_cutoff must be int, not True"),
             ("fig2", "detector", "eta", 0.8, "unknown detector keys for kind 'noisy_photocounter'"),
             ("qubit-sampled", "ml", "fock_cutoff", 5, "ml.fock_cutoff applies to a homodyne"),
+            ("qubit-sampled", "detector", "seed", -1, "detector.seed must be nonnegative, not -1"),
+            ("qutrit-oracle", "quorum", "seed", -1, "quorum.seed must be nonnegative, not -1"),
+            ("fig2", "quorum", "fock_cutoff", -1, "quorum.fock_cutoff must be nonnegative, not -1"),
+            ("qubit-sampled", None, "svd_tolerance", -1e-10, "svd_tolerance must be nonnegative"),
         ],
     )
     def test_rejected_values(self, scenario, block, key, value, message):
@@ -428,16 +432,21 @@ class TestMainCli:
             ("qubit-sampled", "detector", "n_outcomes", 0, "n_outcomes must be at least 1"),
             ("qubit-sampled", "noise", "p", 2.0, "depolarizing p must lie in [0, 1]"),
             ("qutrit-oracle", "quorum", "n_settings", 0, "a quorum needs at least one setting"),
+            ("qubit-sampled", "detector", "seed", -1, "detector.seed must be nonnegative"),
+            ("qutrit-oracle", "quorum", "seed", -1, "quorum.seed must be nonnegative"),
+            ("fig2", "quorum", "fock_cutoff", -1, "quorum.fock_cutoff must be nonnegative"),
+            ("qubit-sampled", None, "svd_tolerance", -1e-10, "svd_tolerance must be nonnegative"),
         ],
     )
     def test_out_of_range_value_exit_code(
         self, tmp_path, capsys, scenario, block, key, value, message
     ):
-        # values that only a run builds: the detector, the noise and the bases
+        # values that a run builds (the detector, the noise and the bases)
+        # and values the config rejects on load
         cfg = scenario_config(scenario)
         if block == "noise":
             cfg["noise"] = {"kind": "depolarizing"}
-        cfg[block][key] = value
+        (cfg if block is None else cfg[block])[key] = value
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 3

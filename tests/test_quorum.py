@@ -23,6 +23,7 @@ from povmcal.quorum import (
 
 from oracles import (
     former_kernel_evaluate,
+    former_two_buffer_kernel_evaluate,
     former_smeared_fock_pdf_table,
     noise_apply,
     quadrature_integral,
@@ -269,13 +270,14 @@ class TestDiagonalKernels:
         np.testing.assert_array_equal(values[:, 0], 0.0)
         np.testing.assert_array_equal(values[:, 2], 0.0)
 
+    @pytest.mark.parametrize("former", [former_kernel_evaluate, former_two_buffer_kernel_evaluate])
     @pytest.mark.parametrize("eta_h", [0.9, 1.0])
-    def test_evaluate_matches_former_temporaries(self, eta_h):
+    def test_evaluate_matches_former_temporaries(self, eta_h, former):
         table = build_diagonal_kernels(6, eta_h, grid=(-6.0, 6.0, 1.0 / 256.0))
         xs = np.random.default_rng(3).normal(0.0, 2.5, 5000)
         xs[:4] = [table.x_min, table.x_max, -6.5, 9.0]
         values, inside = table.evaluate(xs)
-        former_values, former_inside = former_kernel_evaluate(table, xs)
+        former_values, former_inside = former(table, xs)
         assert not inside[2:4].any()
         np.testing.assert_array_equal(values, former_values)
         np.testing.assert_array_equal(inside, former_inside)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from povmcal.scenarios import scenario_config
 from povmcal.states import apply_noise_tomo_side, maximally_entangled, twin_beam
 from povmcal.stats import bootstrap
 
-from oracles import former_diagonal_rows, projective_povm
+from oracles import former_diagonal_rows, former_newton_direction, projective_povm
 
 HQ = homodyne_quorum(6, 0.9, grid=(-6.0, 6.0, 1.0 / 256.0))
 
@@ -149,12 +151,12 @@ class TestMaximizeFinite:
             for n, p in zip(problem.outcomes, result.povm_hat.elements)
         }
 
-        def rerun(indices):
-            res = maximize(problem.resample(indices))
+        def rerun(rng):
+            res = maximize(problem.draw(rng))
             stacked = np.stack(res.povm_hat.elements)
             return np.concatenate([np.real(stacked).ravel(), np.imag(stacked).ravel()])
 
-        report = bootstrap(data, rerun, n_reps=20, seed=4)
+        report = bootstrap(rerun, n_reps=20, seed=4)
         half = report.stdev.size // 2
         stderr = np.sqrt(report.stdev[:half] ** 2 + report.stdev[half:] ** 2).reshape(
             (len(problem.outcomes), 2, 2)
@@ -253,11 +255,11 @@ class TestMaximizeDiagonal:
         theta = result.povm_hat.diagonal()
         truth = povm.diagonal()
 
-        def rerun(indices):
-            res = maximize(problem.resample(indices), min_ll_increase=1e-7, max_iters=2000)
+        def rerun(rng):
+            res = maximize(problem.draw(rng), min_ll_increase=1e-7, max_iters=2000)
             return res.povm_hat.diagonal().ravel()
 
-        report = bootstrap(data, rerun, n_reps=8, seed=10)
+        report = bootstrap(rerun, n_reps=8, seed=10)
         stderr = report.stdev.reshape(theta.shape)
         ratios = []
         for idx, n in enumerate(problem.outcomes[:-1]):
@@ -408,33 +410,44 @@ class TestResample:
         np.testing.assert_array_equal(grad, expected_grad)
         np.testing.assert_array_equal(problem.gradient(theta), grad)
 
-    def test_finite_count_tensor_matches_rebuilt_subset(self):
-        problem, povm, data, state, quorum = make_finite_problem(n_records=20_000, seed=7)
-        indices, counts = _resample_counts(data, 25)
-        resampled = problem.resample(indices)
-        rebuilt = build_problem_finite(data.subset(indices), state, quorum)
-        assert rebuilt.outcomes == resampled.outcomes
-        np.testing.assert_array_equal(resampled.counts, rebuilt.counts)
-        assert problem.cells.itemsize == 1
+    def test_finite_draw_has_the_multinomial_law(self):
+        # drawing N records with replacement fills the cells multinomially
+        # with probabilities p = counts / N: mean N p, covariance
+        # N (diag p - p p^T), each held to 4 standard errors of 4000 draws
+        problem, *_ = make_finite_problem(n_records=60, seed=11)
+        n = problem.counts.sum()
+        p = problem.counts.ravel() / n
+        rng = np.random.default_rng(27)
+        draws = np.stack([problem.draw(rng).counts.ravel() for _ in range(4000)])
+        assert draws.dtype == problem.counts.dtype
+        assert np.all(draws.sum(axis=1) == n)
+        assert np.all(draws[:, p == 0.0] == 0.0)
+        mean = draws.mean(axis=0)
+        assert np.all(np.abs(mean - n * p) <= 4.0 * draws.std(axis=0) / np.sqrt(len(draws)))
+        centred = draws - mean
+        products = centred[:, :, None] * centred[:, None, :]
+        covariance = products.mean(axis=0)
+        stderr = products.std(axis=0) / np.sqrt(len(draws))
+        expected = n * (np.diag(p) - np.outer(p, p))
+        assert np.all(np.abs(covariance - expected) <= 4.0 * stderr + 1e-9)
 
-    @pytest.mark.parametrize("kind", ["diagonal", "finite"])
+    def test_diagonal_draw_resamples_the_drawn_indices(self):
+        problem, data, _ = self.diagonal()
+        drawn = problem.draw(np.random.default_rng(28))
+        resampled = problem.resample(np.random.default_rng(28).integers(0, len(data), len(data)))
+        assert drawn.n_records == resampled.n_records == len(data)
+        for name in ("rows", "row_outcome", "multiplicity", "record"):
+            np.testing.assert_array_equal(getattr(drawn, name), getattr(resampled, name))
+
     @pytest.mark.parametrize("draw", ["whole", "lower_half"])
-    def test_indices_give_exactly_the_draw_counts(self, kind, draw):
+    def test_indices_give_exactly_the_draw_counts(self, draw):
         # reference: the count form, dataset record i weighted by its draw count
-        if kind == "diagonal":
-            problem, data, _ = self.diagonal()
-        else:
-            problem, _, data, *_ = make_finite_problem(n_records=20_000, seed=9)
+        problem, data, _ = self.diagonal()
         # drawing from the lower half only leaves the last records undrawn
         high = len(data) if draw == "whole" else len(data) // 2
         indices = np.random.default_rng(26).integers(0, high, len(data))
         counts = np.bincount(indices, minlength=len(data))
         resampled = problem.resample(indices)
-        if kind == "finite":
-            expected = np.bincount(problem.cells, weights=counts, minlength=problem.counts.size)
-            assert resampled.counts.dtype == problem.counts.dtype
-            np.testing.assert_array_equal(resampled.counts, expected.reshape(problem.counts.shape))
-            return
         multiplicity = counts.astype(float)[problem.record]
         drawn = np.flatnonzero(multiplicity)
         assert resampled.multiplicity.dtype == problem.multiplicity.dtype
@@ -451,11 +464,17 @@ class TestResample:
             problem, _, data, *_ = make_finite_problem(n_records=5_000, seed=8)
         labels = np.asarray(problem.outcomes[:-1])
         dropped = labels[1]
-        # every record drawn twice, except those of one outcome
-        counts = np.where(data.outcome_n == dropped, 0, 2)
-        result = maximize(problem.resample(np.repeat(np.arange(len(data)), counts)))
-        values = np.stack([np.asarray(p) for p in result.povm_hat.elements])
         row = problem.outcomes.index(int(dropped))
+        # every record drawn twice, except those of one outcome
+        if kind == "diagonal":
+            counts = np.where(data.outcome_n == dropped, 0, 2)
+            resampled = problem.resample(np.repeat(np.arange(len(data)), counts))
+        else:
+            counts = 2.0 * problem.counts
+            counts[row] = 0.0
+            resampled = dataclasses.replace(problem, counts=counts)
+        result = maximize(resampled)
+        values = np.stack([np.asarray(p) for p in result.povm_hat.elements])
         assert result.converged
         assert np.all(np.isfinite(values))
         assert np.all(values[row] == 0.0)
@@ -548,6 +567,35 @@ class TestNewtonCandidate:
         assert problem.counts[-1].sum() == 0.0
         assert np.all(direction[-1] == 0.0)
 
+    def test_newton_direction_matches_einsum_and_pinv_form(self):
+        # near an optimum the step is a small difference of O(1) terms, so
+        # the forms are compared where it is not: at the uniform start and
+        # early iterates, and at a boundary point with pinned directions and
+        # an outcome without records
+        points = []
+        problem, *_ = make_finite_problem(n_records=50_000, seed=0)
+        near = maximize(problem, max_iters=10, accelerate=False).povm_hat
+        points += [(problem, problem.initial()), (problem, problem.from_povm(near))]
+        state, quorum = maximally_entangled(2), pauli_quorum()
+        data = sample_finite(state, projective_povm(np.eye(2)), quorum, 5_000, seed=1)
+        projective = build_problem_finite(data, state, quorum)
+        point = projective.from_povm(maximize(projective).povm_hat)
+        v = np.linalg.eigh(point[0])[1][:, 1]
+        point[0] -= 0.05 * np.outer(v, v.conj())
+        point[1] += 0.05 * np.outer(v, v.conj())
+        points.append((projective, point))
+        qutrit = maximally_entangled(3)
+        bases = build_quorum({"kind": "random_bases", "n_settings": 4, "seed": 5}, 3)
+        data = sample_finite(qutrit, random_povm(3, 4, seed=11), bases, 20_000, seed=2)
+        problem = build_problem_finite(data, qutrit, bases)
+        near = maximize(problem, max_iters=1).povm_hat
+        points += [(problem, problem.initial()), (problem, problem.from_povm(near))]
+        for problem, point in points:
+            _, grad = problem.evaluate(point)
+            direction = problem.newton_direction(point, grad)
+            expected = former_newton_direction(problem, point, grad)
+            assert np.abs(direction - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_qutrit_grid_slice_certifies_with_monotone_traces(self):
         # qutrit-oracle physics; detector seed 3, data seed 2, no noise,
         # repetition 0 is a boundary optimum that a frozen support stalls on
@@ -565,10 +613,7 @@ class TestNewtonCandidate:
                     problem = build_problem_finite(data, sampled, quorum)
                     problems = [problem]
                     for rep in range(3):
-                        indices = np.random.default_rng([data_seed, 2, rep]).integers(
-                            0, len(data), len(data)
-                        )
-                        problems.append(problem.resample(indices))
+                        problems.append(problem.draw(np.random.default_rng([data_seed, 2, rep])))
                     for p in problems:
                         result = maximize(p)
                         assert result.converged, (detector_seed, noise, data_seed, result.ll_gap)

@@ -238,6 +238,31 @@ class TestGroupByLabel:
         assert keys.size == 0 and order.size == 0
         np.testing.assert_array_equal(bounds, [0])
 
+    @pytest.mark.parametrize("high", [1, 256, 70_000])
+    def test_narrow_sort_is_the_int64_stable_sort(self, high):
+        # labels up to 255, above 255 (a 16-bit and a 32-bit sort) and one label
+        labels = np.random.default_rng(high).integers(0, high, 20_000)
+        keys, order, bounds = group_by_label(labels)
+        np.testing.assert_array_equal(order, np.argsort(labels, kind="stable"))
+        assert keys.dtype == labels.dtype
+        np.testing.assert_array_equal(keys, np.unique(labels))
+        np.testing.assert_array_equal(np.diff(bounds), np.bincount(labels)[keys])
+
+
+class TestCellCounts:
+    def test_matches_add_at(self):
+        state = maximally_entangled(2)
+        data = sample_finite(state, random_povm(2, 3, seed=1), pauli_quorum(), 5_000, seed=4)
+        shape = (3, 3, 2)
+        expected = np.zeros(shape, dtype=np.int64)
+        np.add.at(expected, (data.outcome_n, data.setting_k, data.result), 1)
+        counts = data.cell_counts(shape)
+        assert counts.dtype == expected.dtype
+        np.testing.assert_array_equal(counts, expected)
+        # outcome rows in place of the labels, here the labels reversed
+        reversed_rows = data.cell_counts(shape, 2 - data.outcome_n)
+        np.testing.assert_array_equal(reversed_rows, expected[::-1])
+
 
 def read_records(path, parse):
     """Columns n, k, result of a dataset CSV, with k and result read by ``parse``."""
