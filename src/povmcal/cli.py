@@ -75,7 +75,7 @@ BLOCK_KEYS = {
 }
 OPTIONAL_KEYS = frozenset({"grid", "unbias_cutoff"})
 # block keys whose values may not be negative, whatever the block's kind
-NONNEGATIVE_KEYS = frozenset({"seed", "fock_cutoff"})
+NONNEGATIVE_KEYS = frozenset({"seed", "fock_cutoff", "env_cutoff"})
 ML_KEYS = {"fock_cutoff": INT}  # what an ``ml`` block may set
 
 
@@ -281,11 +281,6 @@ class _Fit:
     ml_result: dict | None = None
 
 
-def _layout(complex_values: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Index keys and value-part suffixes of the entry rows."""
-    return (("i", "j"), ("_re", "_im")) if complex_values else (("m",), ("",))
-
-
 def _zscore(abs_error: float, stderr: float | None, exact: bool) -> float:
     if exact:
         return abs_error / EXACT_TOLERANCE
@@ -294,35 +289,28 @@ def _zscore(abs_error: float, stderr: float | None, exact: bool) -> float:
     return abs_error / stderr
 
 
-def _entries(fit: _Fit, truth: np.ndarray, display: int | None, exact: bool) -> list[dict]:
-    """Entry rows (n, index, value, stderr, theory, z), the index being m
-    for diagonal estimates and (i, j) for full ones; with ``display`` only
-    outcomes and indices up to it."""
-    keys, suffixes = _layout(np.iscomplexobj(fit.values))
-    value_keys = ["value" + s for s in suffixes]
-    theory_keys = ["theory" + s for s in suffixes]
-    shape = fit.values.shape[1:]
-    if display is not None:
-        shape = tuple(min(size, display + 1) for size in shape)
-    window = tuple(slice(size) for size in shape)
-    indices = list(itertools.product(*map(range, shape)))
-    entries = []
+def _rows(fit: _Fit, truth: np.ndarray, exact: bool) -> tuple[tuple[str, ...], list[dict]]:
+    """The CSV columns and the entry rows of every outcome and index; the
+    theory cells and z come only with an outcome whose truth is known."""
+    complex_values = np.iscomplexobj(fit.values)
+    columns, n_parts = _COLUMNS[complex_values], 2 if complex_values else 1
+    indices = list(itertools.product(*map(range, fit.values.shape[1:])))
+    rows = []
     for n, values, stderr in zip(fit.outcomes, fit.values, fit.stderr):
-        if display is not None and n > display:
-            continue
         compared = n != fit.catch_all and n < len(truth)
-        theories = truth[n][window].ravel().tolist() if compared else itertools.repeat(None)
+        theories = truth[n].ravel().tolist() if compared else itertools.repeat(None)
         for index, value, sigma, theory in zip(
-            indices, values[window].ravel().tolist(), stderr[window].ravel().tolist(), theories
+            indices, values.ravel().tolist(), stderr.ravel().tolist(), theories
         ):
-            row = {"n": int(n), **dict(zip(keys, index)), "stderr": sigma}
-            # a real entry has one value key and so takes only the real part
-            row.update(zip(value_keys, (value.real, value.imag)))
+            # a real entry has one value part and so takes only the real part
+            cells = (int(n), *index, *(value.real, value.imag)[:n_parts], sigma)
             if compared:
-                row.update(zip(theory_keys, (theory.real, theory.imag)))
+                cells += (theory.real, theory.imag)[:n_parts]
+            row = dict(zip(columns, cells))
+            if compared:
                 row["z"] = _zscore(abs(complex(value) - complex(theory)), sigma, exact)
-            entries.append(row)
-    return entries
+            rows.append(row)
+    return columns, rows
 
 
 def _coverage(entries) -> dict:
@@ -336,23 +324,6 @@ def _coverage(entries) -> dict:
         "fraction_within_3": float(np.mean(zs <= 3.0)),
         "fraction_within_5": float(np.mean(zs <= 5.0)),
     }
-
-
-def _flatten(values: np.ndarray) -> np.ndarray:
-    """Real vector of an estimate: its entries, or their real then imaginary parts."""
-    if np.iscomplexobj(values):
-        return np.concatenate([np.real(values).ravel(), np.imag(values).ravel()])
-    return values.ravel()
-
-
-def _bootstrap_stderr(boot: stats.BootstrapReport, shape: tuple[int, ...]) -> np.ndarray:
-    """Per-entry sigmas from the spread of :func:`_flatten` vectors; the
-    real and imaginary spreads of a complex entry add in quadrature."""
-    size = int(np.prod(shape))
-    if boot.stdev.size == size:
-        return boot.stdev.reshape(shape)
-    var = boot.stdev**2
-    return np.sqrt(var[:size] + var[size:]).reshape(shape)
 
 
 # --- the run operation -------------------------------------------------------
@@ -408,10 +379,11 @@ def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunRepo
     t_sample = time.perf_counter()
 
     reconstructions: dict = {}
-    fits: dict[str, _Fit] = {}
+    tables: dict[str, tuple] = {}  # each estimator's CSV columns and entry rows
+    ml_result = None
     checks: dict = {"faithful": True}
     truth = povm.diagonal() if homodyne else np.stack(povm.elements)
-    exact = config.exact_probabilities
+    exact, display = config.exact_probabilities, config.display_cutoff
     for label in ("averaging", "ml"):
         if config.strategy not in (label, "both"):
             continue
@@ -419,15 +391,17 @@ def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunRepo
             fit = _fit_averaging(config, data, sample_state, povm, quorum_obj, map_r, noise)
         else:
             fit = _fit_ml(config, data, sample_state, quorum_obj)
-        fits[label] = fit
+            ml_result = fit.ml_result
         checks.update(fit.checks)
-        entries = _entries(fit, truth, config.display_cutoff, exact)
+        columns, rows = _rows(fit, truth, exact)
+        tables[label] = columns, rows
+        # only a homodyne config sets a display window, over n and m
+        entries = [r for r in rows if display is None or max(r["n"], r["m"]) <= display]
         coverage = _coverage(entries)
-        if exact:
+        if exact:  # a finite quorum: every row is complex and compared
             max_err = max(
-                abs(complex(value) - complex(theory))
-                for idx, n in enumerate(fit.outcomes)
-                for value, theory in zip(fit.values[idx].ravel(), truth[n].ravel())
+                abs(complex(r["value_re"], r["value_im"]) - complex(r["theory_re"], r["theory_im"]))
+                for r in rows
             )
             checks["oracle_error_ok"] = bool(max_err < EXACT_TOLERANCE)
             coverage["max_abs_error"] = max_err
@@ -453,8 +427,8 @@ def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunRepo
         },
     )
     json_files = {"report.json": report.to_json_dict(), "config.json": report.config}
-    if "ml" in fits:
-        json_files["ml_result.json"] = fits["ml"].ml_result
+    if ml_result is not None:
+        json_files["ml_result.json"] = ml_result
     if config.save_dataset and data is not None:
         json_files["dataset.json"] = {
             **dataset_summary,
@@ -468,9 +442,8 @@ def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunRepo
         _write_json(out / name, payload)
     if "dataset.json" in json_files:
         write_dataset_csv(data, out / "dataset.csv")
-    for label, fit in fits.items():
-        path = out / f"{label}_reconstruction.csv"
-        _write_csv(path, _columns(np.iscomplexobj(fit.values)), _entries(fit, truth, None, exact))
+    for label, (columns, rows) in tables.items():
+        _write_csv(out / f"{label}_reconstruction.csv", columns, columns, rows)
     emit_plot_data(report, out / "plots")
     (out / "run.log").write_text("".join(f"{k}: {v:.3f}\n" for k, v in report.timing.items()))
     return report
@@ -534,7 +507,7 @@ def _fit_ml(config, data, state, quorum_obj) -> _Fit:
     def rerun(rng):
         res = recon_ml.maximize(problem.draw(rng))
         rep_converged.append(res.converged)
-        return _flatten(values_of(res.povm_hat))
+        return values_of(res.povm_hat)
 
     boot = stats.bootstrap(rerun, config.bootstrap_reps, config.seed)
     values = values_of(result.povm_hat)
@@ -573,13 +546,17 @@ def _fit_ml(config, data, state, quorum_obj) -> _Fit:
         "ll_trace": result.ll_trace,
         "povm": [{"real": np.real(p), "imag": np.imag(p)} for p in result.povm_hat.elements],
     }
-    stderr = _bootstrap_stderr(boot, values.shape)
-    return _Fit(problem.outcomes, values, stderr, problem.outcomes[-1], checks, report, ml_result)
+    return _Fit(problem.outcomes, values, boot.stdev, problem.outcomes[-1], checks, report, ml_result)
 
 
 # --- artifact writers --------------------------------------------------------
 
-# plot-file header of each reconstruction column that is renamed there
+# the CSV columns of the entry rows of a real (number-diagonal) and a complex
+# (full-matrix) estimate, and the plot-file header of each renamed column
+_COLUMNS = {
+    False: ("n", "m", "value", "stderr", "theory"),
+    True: ("n", "i", "j", "value_re", "value_im", "stderr", "theory_re", "theory_im"),
+}
 _PLOT_HEADERS = {"m": "n", "value": "estimate", "value_re": "estimate_re", "value_im": "estimate_im"}
 
 
@@ -596,21 +573,12 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def _columns(complex_values: bool) -> dict[str, str]:
-    """Reconstruction-CSV header mapped to the entry key each column reads."""
-    keys, suffixes = _layout(complex_values)
-    names = [
-        "n", *keys, *("value" + s for s in suffixes), "stderr", *("theory" + s for s in suffixes)
-    ]
-    return {name: name for name in names}
-
-
-def _write_csv(path, columns: dict[str, str], entries) -> None:
+def _write_csv(path, header, keys, rows) -> None:
+    """One line per row of its ``keys`` cells (empty where a row has none) under ``header``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(columns))
-        for e in entries:
-            writer.writerow([_fmt(e.get(key)) for key in columns.values()])
+        writer.writerow(header)
+        writer.writerows([_fmt(row.get(key)) for key in keys] for row in rows)
 
 
 def write_dataset_csv(data: sampler.Dataset, path) -> None:
@@ -632,7 +600,8 @@ def write_kernels_csv(table: quorum_mod.KernelTable, path) -> None:
 
 
 def emit_plot_data(report: RunReport, output_dir) -> list[Path]:
-    """Per-outcome CSVs (columns n, estimate, stderr, theory) ready for plotting.
+    """Per-outcome CSVs (columns n, estimate, stderr, theory) of the report's
+    entries, the rows inside the display window, ready for plotting.
 
     Diagonal reconstructions produce one file per displayed detector
     outcome k, rows over the number index n.  Full-matrix reconstructions
@@ -648,17 +617,11 @@ def emit_plot_data(report: RunReport, output_dir) -> list[Path]:
             note.write_text("no outcomes were reconstructed\n")
             written.append(note)
             continue
-        columns = {
-            _PLOT_HEADERS.get(key, key): key
-            for key in _columns("value_re" in entries[0])
-            if key != "n"
-        }
-        by_outcome: dict[int, list] = {}
-        for e in entries:
-            by_outcome.setdefault(e["n"], []).append(e)
-        for k, rows in sorted(by_outcome.items()):
+        keys = _COLUMNS["value_re" in entries[0]][1:]
+        header = [_PLOT_HEADERS.get(key, key) for key in keys]
+        for k, rows in itertools.groupby(entries, key=lambda e: e["n"]):
             path = out / f"{label}_k{k}.csv"
-            _write_csv(path, columns, rows)
+            _write_csv(path, header, keys, rows)
             written.append(path)
     return written
 
@@ -667,13 +630,18 @@ def emit_plot_data(report: RunReport, output_dir) -> list[Path]:
 
 
 def _load_config(source: str, **overrides) -> ScenarioConfig:
-    """Config from a JSON file, or else a builtin scenario name, with the
-    ``overrides`` that are not None set on top."""
-    if Path(source).exists():
+    """Config from a JSON file holding one object, or else a builtin scenario
+    name (a directory of that name does not hide it), with the ``overrides``
+    that are not None set on top."""
+    if Path(source).is_file():
         try:
             payload = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(f"cannot read {source}: {exc}") from exc
+        except ValueError as exc:  # malformed JSON or bytes that are not text
             raise ConfigError(f"{source} is not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError(f"{source} must hold a JSON object, not {type(payload).__name__}")
     else:
         payload = scenario_config(source)
     payload.update((key, value) for key, value in overrides.items() if value is not None)

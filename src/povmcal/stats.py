@@ -38,10 +38,11 @@ def bootstrap(
     draws a finite count tensor as one multinomial, and the diagonal
     problem's dataset record indices, which resample whole records
     (n, k, result) jointly.  The report therefore depends only on the
-    estimator and ``seed``.  Repetitions that fail with a toolkit error or
-    a linear-algebra error are skipped; more than ``MAX_FAILURE_FRACTION``
-    of them failing aborts the report.  Any other exception is a bug and
-    propagates.
+    estimator and ``seed``.  A complex entry's real and imaginary spreads
+    add in quadrature, into a real ``stdev`` of the estimate's shape.
+    Repetitions that fail with a toolkit error or a linear-algebra error
+    are skipped; more than ``MAX_FAILURE_FRACTION`` of them failing aborts
+    the report.  Any other exception is a bug and propagates.
     """
     if n_reps < 2:
         raise ValueError("bootstrap needs at least 2 repetitions")
@@ -50,7 +51,7 @@ def bootstrap(
     for rep in range(n_reps):
         rng = np.random.default_rng([seed, _STREAM_BOOTSTRAP, rep])
         try:
-            results.append(np.asarray(estimator(rng), dtype=float))
+            results.append(np.asarray(estimator(rng)))
         except (PovmcalError, np.linalg.LinAlgError):
             failures += 1
     if failures > MAX_FAILURE_FRACTION * n_reps:
@@ -63,10 +64,10 @@ def bootstrap(
     valid = ~np.isnan(stacked)
     count = valid.sum(axis=0)
     filled = np.where(valid, stacked, 0.0)
-    mean = np.divide(filled.sum(axis=0), count, out=np.full(count.shape, np.nan), where=count > 0)
+    mean = np.where(count > 0, filled.sum(axis=0) / np.maximum(count, 1), np.nan)
     dev = np.where(valid, stacked - mean, 0.0)
     var = np.divide(
-        (dev**2).sum(axis=0),
+        (dev.real**2 + dev.imag**2).sum(axis=0),
         np.maximum(count - 1, 1),
         out=np.full(count.shape, np.nan),
         where=count > 1,

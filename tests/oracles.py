@@ -16,13 +16,24 @@ match these bit for bit.  The one exception is the finite Newton direction,
 whose Hessian and pseudo-inverses now come from other BLAS and LAPACK
 calls; tests hold it to 1e-12 relative.
 
-The last section keeps the file writers that the library modules had
+The next section keeps the file writers that the library modules had
 before the runner took over every write; tests require the runner's files
 to match their bytes.
+
+The last section keeps the runner's former report path: entry rows built
+once per file (display window or not), a column table per file and a
+bootstrap that coerced each repetition to a real vector, so that complex
+estimates were flattened into real and imaginary parts whose spreads were
+added back in quadrature.  Tests require the report entries and CSV files
+to match its bytes, and complex bootstrap stderrs to match it within a few
+ulp (the quadrature sum no longer squares a square root).
 """
 
+import csv
+import itertools
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
@@ -489,3 +500,143 @@ def former_export_json(result, path):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# --- former report path -------------------------------------------------------
+
+FORMER_EXACT_TOLERANCE = 1e-8
+FORMER_PLOT_HEADERS = {
+    "m": "n", "value": "estimate", "value_re": "estimate_re", "value_im": "estimate_im"
+}
+
+
+def former_layout(complex_values):
+    """Index keys and value-part suffixes of the entry rows."""
+    return (("i", "j"), ("_re", "_im")) if complex_values else (("m",), ("",))
+
+
+def former_zscore(abs_error, stderr, exact):
+    if exact:
+        return abs_error / FORMER_EXACT_TOLERANCE
+    if stderr is None or stderr <= 0.0:
+        return 0.0 if abs_error == 0.0 else float("inf")
+    return abs_error / stderr
+
+
+def former_entries(fit, truth, display, exact):
+    """``cli._entries``: entry rows of ``fit`` (outcomes, values, stderr,
+    catch_all), with ``display`` only outcomes and indices up to it."""
+    keys, suffixes = former_layout(np.iscomplexobj(fit.values))
+    value_keys = ["value" + s for s in suffixes]
+    theory_keys = ["theory" + s for s in suffixes]
+    shape = fit.values.shape[1:]
+    if display is not None:
+        shape = tuple(min(size, display + 1) for size in shape)
+    window = tuple(slice(size) for size in shape)
+    indices = list(itertools.product(*map(range, shape)))
+    entries = []
+    for n, values, stderr in zip(fit.outcomes, fit.values, fit.stderr):
+        if display is not None and n > display:
+            continue
+        compared = n != fit.catch_all and n < len(truth)
+        theories = truth[n][window].ravel().tolist() if compared else itertools.repeat(None)
+        for index, value, sigma, theory in zip(
+            indices, values[window].ravel().tolist(), stderr[window].ravel().tolist(), theories
+        ):
+            row = {"n": int(n), **dict(zip(keys, index)), "stderr": sigma}
+            row.update(zip(value_keys, (value.real, value.imag)))
+            if compared:
+                row.update(zip(theory_keys, (theory.real, theory.imag)))
+                row["z"] = former_zscore(abs(complex(value) - complex(theory)), sigma, exact)
+            entries.append(row)
+    return entries
+
+
+def former_columns(complex_values):
+    """Reconstruction-CSV header mapped to the entry key each column reads."""
+    keys, suffixes = former_layout(complex_values)
+    names = [
+        "n", *keys, *("value" + s for s in suffixes), "stderr", *("theory" + s for s in suffixes)
+    ]
+    return {name: name for name in names}
+
+
+def _former_fmt(value):
+    if value is None:
+        return ""
+    return f"{value:.17g}"
+
+
+def former_write_csv(path, columns, entries):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        for e in entries:
+            writer.writerow([_former_fmt(e.get(key)) for key in columns.values()])
+
+
+def former_emit_plot_data(reconstructions, output_dir):
+    """``cli.emit_plot_data`` on a report's ``reconstructions``."""
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for label, recon in sorted(reconstructions.items()):
+        entries = recon.get("entries", [])
+        if not entries:
+            note = out / f"{label}_empty.txt"
+            note.write_text("no outcomes were reconstructed\n")
+            written.append(note)
+            continue
+        columns = {
+            FORMER_PLOT_HEADERS.get(key, key): key
+            for key in former_columns("value_re" in entries[0])
+            if key != "n"
+        }
+        by_outcome = {}
+        for e in entries:
+            by_outcome.setdefault(e["n"], []).append(e)
+        for k, rows in sorted(by_outcome.items()):
+            path = out / f"{label}_k{k}.csv"
+            former_write_csv(path, columns, rows)
+            written.append(path)
+    return written
+
+
+def former_flatten(values):
+    """Real vector of an estimate: its entries, or their real then imaginary parts."""
+    if np.iscomplexobj(values):
+        return np.concatenate([np.real(values).ravel(), np.imag(values).ravel()])
+    return values.ravel()
+
+
+def former_bootstrap_stderr(stdev, shape):
+    """Per-entry sigmas from the spread of :func:`former_flatten` vectors;
+    the real and imaginary spreads of a complex entry add in quadrature."""
+    size = int(np.prod(shape))
+    if stdev.size == size:
+        return stdev.reshape(shape)
+    var = stdev**2
+    return np.sqrt(var[:size] + var[size:]).reshape(shape)
+
+
+def former_bootstrap_moments(estimator, n_reps, seed):
+    """(mean, stdev) of ``stats.bootstrap`` when it took every repetition as
+    a float vector; repetitions never fail here."""
+    stacked = np.stack(
+        [
+            np.asarray(estimator(np.random.default_rng([seed, 2, rep])), dtype=float)
+            for rep in range(n_reps)
+        ]
+    )
+    valid = ~np.isnan(stacked)
+    count = valid.sum(axis=0)
+    filled = np.where(valid, stacked, 0.0)
+    mean = np.divide(filled.sum(axis=0), count, out=np.full(count.shape, np.nan), where=count > 0)
+    dev = np.where(valid, stacked - mean, 0.0)
+    var = np.divide(
+        (dev**2).sum(axis=0),
+        np.maximum(count - 1, 1),
+        out=np.full(count.shape, np.nan),
+        where=count > 1,
+    )
+    return mean, np.sqrt(var)

@@ -70,16 +70,9 @@ def test_criterion_2_finite_sampled_coverage():
             ds = data.subset(rng.integers(0, len(data), len(data)))
             est = recover_povm(estimate_conditioned_finite(ds, quorum, duals), map_r)
             by_outcome = dict(zip(est.outcomes, est.values))
-            stack = np.stack(
-                [by_outcome.get(n, np.full((2, 2), np.nan)) for n in outcomes]
-            )
-            return np.concatenate([np.real(stack).ravel(), np.imag(stack).ravel()])
+            return np.stack([by_outcome.get(n, np.full((2, 2), np.nan)) for n in outcomes])
 
-        boot = bootstrap(entries, n_reps=25, seed=1000 + seed)
-        half = boot.stdev.size // 2
-        stderr = np.sqrt(boot.stdev[:half] ** 2 + boot.stdev[half:] ** 2).reshape(
-            point.values.shape
-        )
+        stderr = bootstrap(entries, n_reps=25, seed=1000 + seed).stdev
         for idx, n in enumerate(outcomes):
             err = np.abs(point.values[idx] - povm[n])
             hits += int((err <= 5 * stderr[idx]).sum())

@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import povmcal
-from povmcal import recon_ml, sampler
+from povmcal import cli, recon_ml, sampler
 from povmcal.cli import (
     RunReport,
     ScenarioConfig,
@@ -23,7 +24,15 @@ from povmcal.cli import (
 from povmcal.errors import ScenarioAbort
 from povmcal.scenarios import list_scenarios, scenario_config
 
-from oracles import former_export_csv, former_export_json, former_export_sidecar
+from oracles import (
+    former_columns,
+    former_emit_plot_data,
+    former_entries,
+    former_export_csv,
+    former_export_json,
+    former_export_sidecar,
+    former_write_csv,
+)
 
 
 def small_sampled_config(**overrides):
@@ -118,6 +127,7 @@ class TestScenarioConfig:
             ("qutrit-oracle", "quorum", "seed", -1, "quorum.seed must be nonnegative, not -1"),
             ("fig2", "quorum", "fock_cutoff", -1, "quorum.fock_cutoff must be nonnegative, not -1"),
             ("qubit-sampled", None, "svd_tolerance", -1e-10, "svd_tolerance must be nonnegative"),
+            ("fig2", "detector", "env_cutoff", -5, "detector.env_cutoff must be nonnegative, not -5"),
         ],
     )
     def test_rejected_values(self, scenario, block, key, value, message):
@@ -271,6 +281,59 @@ class TestRun:
             assert (tmp_path / "plots" / f"{label}_k0.csv").exists()
             assert (tmp_path / "plots" / f"{label}_k7.csv").exists()
 
+    @pytest.mark.parametrize("scenario", ["fig4", "qubit-oracle", "homodyne-both", "qubit-sampled"])
+    def test_tables_match_former_report_path(self, tmp_path, monkeypatch, scenario):
+        # the rows built once per estimator give the report entries, the
+        # reconstruction CSV and the plot files that the former per-file
+        # tables gave, from the same estimates
+        cfg = scenario_config("fig4" if scenario == "homodyne-both" else scenario)
+        if scenario == "fig4":
+            cfg["bootstrap_reps"] = 3
+        elif scenario == "homodyne-both":
+            cfg.update(n_records=20_000, strategy="both", bootstrap_reps=2)
+            cfg["state"].update(xi=0.6, fock_cutoff=20)
+            cfg["ml"]["fock_cutoff"] = 14
+        elif scenario == "qubit-sampled":
+            cfg.update(n_records=4000, bootstrap_reps=8)
+        fits = {}
+        for label in ("averaging", "ml"):
+            fitter = getattr(cli, f"_fit_{label}")
+
+            def spy(*args, label=label, fitter=fitter):
+                fits[label] = fitter(*args)
+                return fits[label]
+
+            monkeypatch.setattr(cli, f"_fit_{label}", spy)
+        config = ScenarioConfig.from_dict(cfg)
+        report = run(config, tmp_path / "run")
+
+        state = build_state(cfg["state"])
+        povm = build_detector(cfg["detector"], state)
+        truth = povm.diagonal() if cfg["quorum"]["kind"] == "homodyne" else np.stack(povm.elements)
+        exact = config.exact_probabilities
+        former = {
+            label: {"entries": former_entries(fit, truth, config.display_cutoff, exact)}
+            for label, fit in fits.items()
+        }
+        assert set(fits) == set(report.reconstructions)
+        for label, fit in fits.items():
+            entries = report.reconstructions[label]["entries"]
+            assert json.dumps(entries, sort_keys=True) == json.dumps(
+                former[label]["entries"], sort_keys=True
+            )
+            path = tmp_path / f"{label}_reconstruction.csv"
+            rows = former_entries(fit, truth, None, exact)
+            former_write_csv(path, former_columns(np.iscomplexobj(fit.values)), rows)
+            assert (tmp_path / "run" / path.name).read_bytes() == path.read_bytes(), label
+            # a display window leaves rows of the CSV out of the report
+            assert (len(entries) < len(rows)) == (config.display_cutoff is not None)
+        written = former_emit_plot_data(former, tmp_path / "plots")
+        assert sorted(p.name for p in (tmp_path / "run" / "plots").iterdir()) == sorted(
+            p.name for p in written
+        )
+        for p in written:
+            assert (tmp_path / "run" / "plots" / p.name).read_bytes() == p.read_bytes(), p.name
+
     def test_fig2_small_has_eight_display_plot_files(self, tmp_path):
         cfg = scenario_config("fig2")
         cfg["n_records"] = 5000
@@ -383,9 +446,16 @@ class TestMainCli:
             ("two-number grid", "grid must be [x_min < x_max, step > 0], not [-8.0, 8.0]"),
             ("display_cutoff -1", "display_cutoff must be nonnegative"),
             ("max_condition_number -1", "max_condition_number must be at least 1"),
+            ("top-level list", "must hold a JSON object, not list"),
+            ("top-level number", "must hold a JSON object, not int"),
+            ("directory", "unknown scenario"),
+            ("unreadable file", "cannot read"),
+            ("not text", "is not valid JSON"),
         ],
     )
-    def test_rejected_config_exit_code(self, tmp_path, capsys, command, fault, message):
+    def test_rejected_config_exit_code(
+        self, tmp_path, capsys, monkeypatch, command, fault, message
+    ):
         cfg = scenario_config("fig2")
         if fault == "unknown key":
             cfg["bogus"] = 1
@@ -415,8 +485,22 @@ class TestMainCli:
             cfg["display_cutoff"] = -1
         elif fault == "max_condition_number -1":
             cfg["max_condition_number"] = -1
+        contents = {
+            "malformed JSON": json.dumps(cfg)[:-1].encode(),
+            "top-level list": b"[1, 2]",
+            "top-level number": b"3",
+            "not text": b"\xff\xfe{",
+        }
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg)[:-1] if fault == "malformed JSON" else json.dumps(cfg))
+        path.write_bytes(contents.get(fault, json.dumps(cfg).encode()))
+        if fault == "directory":
+            path = tmp_path / "adir"
+            path.mkdir()
+        elif fault == "unreadable file":
+            def read_text(self, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(self))
+
+            monkeypatch.setattr(Path, "read_text", read_text)
         source = "fig9" if fault == "unknown builtin" else str(path)
         out = str(tmp_path / "out")
         assert main([command, source, "--output-dir" if command == "run" else "--out", out]) == 3
@@ -436,6 +520,7 @@ class TestMainCli:
             ("qutrit-oracle", "quorum", "seed", -1, "quorum.seed must be nonnegative"),
             ("fig2", "quorum", "fock_cutoff", -1, "quorum.fock_cutoff must be nonnegative"),
             ("qubit-sampled", None, "svd_tolerance", -1e-10, "svd_tolerance must be nonnegative"),
+            ("fig2", "detector", "env_cutoff", -5, "detector.env_cutoff must be nonnegative"),
         ],
     )
     def test_out_of_range_value_exit_code(
@@ -479,6 +564,12 @@ class TestMainCli:
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["config"]["seed"] == 77
+
+    def test_directory_does_not_hide_a_builtin(self, tmp_path, monkeypatch):
+        # a run's output directory may carry the name of its builtin
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "qubit-oracle").mkdir()
+        assert main(["run", "qubit-oracle", "--output-dir", str(tmp_path / "out")]) == 0
 
     def test_run_config_file(self, tmp_path):
         cfg = scenario_config("qubit-oracle")

@@ -152,15 +152,10 @@ class TestMaximizeFinite:
         }
 
         def rerun(rng):
-            res = maximize(problem.draw(rng))
-            stacked = np.stack(res.povm_hat.elements)
-            return np.concatenate([np.real(stacked).ravel(), np.imag(stacked).ravel()])
+            return np.stack(maximize(problem.draw(rng)).povm_hat.elements)
 
-        report = bootstrap(rerun, n_reps=20, seed=4)
-        half = report.stdev.size // 2
-        stderr = np.sqrt(report.stdev[:half] ** 2 + report.stdev[half:] ** 2).reshape(
-            (len(problem.outcomes), 2, 2)
-        )
+        stderr = bootstrap(rerun, n_reps=20, seed=4).stdev
+        assert stderr.shape == (len(problem.outcomes), 2, 2)
         for idx, n in enumerate(problem.outcomes[:-1]):  # last row is the catch-all
             err = np.abs(point[n] - povm[n])
             assert np.all(err <= 5 * stderr[idx] + 1e-12), (n, err, stderr[idx])

@@ -7,7 +7,13 @@ from povmcal.sampler import sample_finite
 from povmcal.states import maximally_entangled
 from povmcal.stats import bootstrap
 
-from oracles import compare_mse, projective_povm
+from oracles import (
+    compare_mse,
+    former_bootstrap_moments,
+    former_bootstrap_stderr,
+    former_flatten,
+    projective_povm,
+)
 
 
 def p_hat_estimator(data, n_outcomes):
@@ -112,6 +118,37 @@ class TestBootstrap:
         expected = [np.random.default_rng([7, 2, rep]).random(3) for rep in range(4)]
         np.testing.assert_array_equal(seen, expected)
         np.testing.assert_array_equal(report.mean, np.mean(expected, axis=0))
+
+    def test_real_report_is_the_former_float_report(self):
+        # a real estimate's moments keep their bits, NaN entries included
+        def estimate(rng):
+            values = rng.random((3, 4))
+            values[0, rng.integers(0, 4)] = np.nan
+            return values
+
+        report = bootstrap(estimate, n_reps=12, seed=9)
+        mean, stdev = former_bootstrap_moments(estimate, 12, 9)
+        assert report.mean.dtype == report.stdev.dtype == np.float64
+        np.testing.assert_array_equal(report.mean, mean)
+        np.testing.assert_array_equal(report.stdev, stdev)
+
+    def test_complex_spread_is_the_former_quadrature(self):
+        # the real and imaginary spreads add in quadrature, in the estimate's
+        # shape; the former path took the square root of each before adding
+        scale = np.array([[1.0, 2.0], [3.0, 0.0]])
+
+        def estimate(rng):
+            return rng.normal(size=(3, 2, 2)) + 1j * scale * rng.normal(size=(3, 2, 2))
+
+        report = bootstrap(estimate, n_reps=25, seed=10)
+        mean, stdev = former_bootstrap_moments(lambda rng: former_flatten(estimate(rng)), 25, 10)
+        assert report.stdev.shape == (3, 2, 2) and report.stdev.dtype == np.float64
+        np.testing.assert_array_max_ulp(
+            report.stdev, former_bootstrap_stderr(stdev, (3, 2, 2)), maxulp=4
+        )
+        np.testing.assert_allclose(
+            report.mean, (mean[:12] + 1j * mean[12:]).reshape(3, 2, 2), rtol=1e-15, atol=1e-16
+        )
 
 
 class TestCompareMse:
