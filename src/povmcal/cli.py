@@ -331,10 +331,16 @@ def _coverage(entries) -> dict:
 
 def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunReport:
     """Execute one scenario, then write its artifacts; a run that raises
-    writes nothing.  Aborts with :class:`ScenarioAbort` (condition-number
+    writes nothing.  Raises :class:`ConfigError` before any work when
+    ``output_dir`` cannot be made a directory (it or an ancestor is a
+    file), and aborts with :class:`ScenarioAbort` (condition-number
     diagnostic) when the input state is not faithful on the reconstruction
     subspace.
     """
+    out = Path(output_dir or Path("runs") / config.name)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"cannot write the run to {out}: {existing} is not a directory")
     t0 = time.perf_counter()
     state = build_state(config.state)
     povm = build_detector(config.detector, state)
@@ -436,7 +442,6 @@ def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunRepo
             "kind": data.kind,
             "parameters": {"scenario": config.name},
         }
-    out = Path(output_dir or Path("runs") / config.name)
     out.mkdir(parents=True, exist_ok=True)
     for name, payload in json_files.items():
         _write_json(out / name, payload)
@@ -485,10 +490,12 @@ def _fit_ml(config, data, state, quorum_obj) -> _Fit:
 
     Each repetition solves the point problem's ``draw``: the finite count
     tensor drawn as one multinomial, or the diagonal rows reweighted by
-    the drawn records' counts.  Every repetition keeps the point estimate's
-    outcome set (an outcome a resample misses solves to 0).  ``ml_certified``
-    holds only if the point estimate and every repetition stopped on the
-    likelihood-gap certificate.
+    the drawn records' counts.  A finite repetition starts at the point
+    estimate, since its Newton step can unpin entries held at 0; a diagonal
+    one starts cold from the uniform POVM.  Every repetition keeps the point
+    estimate's outcome set (an outcome a resample misses solves to 0).
+    ``ml_certified`` holds only if the point estimate and every repetition
+    stopped on the likelihood-gap certificate.
     """
     homodyne = isinstance(quorum_obj, quorum_mod.HomodyneQuorum)
     if homodyne:
@@ -502,10 +509,12 @@ def _fit_ml(config, data, state, quorum_obj) -> _Fit:
         return povm.diagonal() if homodyne else np.stack(povm.elements)
 
     result = recon_ml.maximize(problem)
+    # warm only with a Newton step: multiplicative updates cannot revive entries held at 0
+    init = result.povm_hat if hasattr(problem, "newton_direction") else None
     rep_converged: list[bool] = []
 
     def rerun(rng):
-        res = recon_ml.maximize(problem.draw(rng))
+        res = recon_ml.maximize(problem.draw(rng), init=init)
         rep_converged.append(res.converged)
         return values_of(res.povm_hat)
 
@@ -692,6 +701,9 @@ def main(argv=None) -> int:
             config = _load_config(args.config)
             if config.quorum["kind"] != "homodyne":
                 raise ConfigError(f"kernels need a homodyne quorum, not {config.quorum['kind']!r}")
+            out = Path(args.out)
+            if out.is_dir() or not out.parent.is_dir():
+                raise ConfigError(f"--out {out} must name a file in an existing directory")
             table = build_quorum(config.quorum, build_state(config.state).dim_tomo).kernel_table
             write_kernels_csv(table, args.out)
             print(f"wrote {args.out} (residual {table.residual:.3e})")

@@ -26,7 +26,9 @@ bootstrap that coerced each repetition to a real vector, so that complex
 estimates were flattened into real and imaginary parts whose spreads were
 added back in quadrature.  Tests require the report entries and CSV files
 to match its bytes, and complex bootstrap stderrs to match it within a few
-ulp (the quadrature sum no longer squares a square root).
+ulp (the quadrature sum no longer squares a square root).  It also keeps
+the ML solve that the runner's bootstrap repetitions made before finite
+ones started at the point estimate: every solve cold from the uniform POVM.
 """
 
 import csv
@@ -640,3 +642,14 @@ def former_bootstrap_moments(estimator, n_reps, seed):
         where=count > 1,
     )
     return mean, np.sqrt(var)
+
+
+def former_cold_maximize(maximize, **settings):
+    """``maximize`` as the runner's bootstrap repetitions called it before
+    finite ones were warm-started: from the uniform POVM whatever ``init``
+    the caller passes, with ``settings`` (e.g. ``gap_tol``) on every solve."""
+
+    def cold(problem, init=None, **kwargs):
+        return maximize(problem, **{**kwargs, **settings})
+
+    return cold

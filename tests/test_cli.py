@@ -25,6 +25,7 @@ from povmcal.errors import ScenarioAbort
 from povmcal.scenarios import list_scenarios, scenario_config
 
 from oracles import (
+    former_cold_maximize,
     former_columns,
     former_emit_plot_data,
     former_entries,
@@ -41,6 +42,33 @@ def small_sampled_config(**overrides):
     cfg["bootstrap_reps"] = 8
     cfg.update(overrides)
     return ScenarioConfig.from_dict(cfg)
+
+
+def qutrit_noisy_both_config():
+    """qutrit-oracle's pair, POVM and bases, sampled, depolarized and fitted both ways."""
+    cfg = scenario_config("qutrit-oracle")
+    cfg.update(
+        name="qutrit-noisy-both",
+        n_records=100_000,
+        exact_probabilities=False,
+        strategy="both",
+        bootstrap_reps=30,
+        noise={"kind": "depolarizing", "p": 0.1},
+    )
+    return ScenarioConfig.from_dict(cfg)
+
+
+def record_solves(monkeypatch):
+    """List that collects (init, result) of every ``recon_ml.maximize`` call."""
+    solves, maximize = [], recon_ml.maximize
+
+    def recording(problem, init=None, **kwargs):
+        result = maximize(problem, init=init, **kwargs)
+        solves.append((init, result))
+        return result
+
+    monkeypatch.setattr(recon_ml, "maximize", recording)
+    return solves
 
 
 class TestScenarioConfig:
@@ -280,6 +308,51 @@ class TestRun:
             assert header == "n,m,value,stderr,theory"
             assert (tmp_path / "plots" / f"{label}_k0.csv").exists()
             assert (tmp_path / "plots" / f"{label}_k7.csv").exists()
+
+    def test_finite_repetitions_start_at_the_point_estimate(self, tmp_path, monkeypatch):
+        solves = record_solves(monkeypatch)
+        run(small_sampled_config(), tmp_path)
+        (point_init, point), *repetitions = solves
+        assert point_init is None and len(repetitions) == 8
+        assert all(init is point.povm_hat for init, _ in repetitions)
+
+    def test_diagonal_repetitions_start_cold(self, tmp_path, monkeypatch):
+        cfg = scenario_config("fig4")
+        cfg.update(n_records=10_000, bootstrap_reps=3)
+        cfg["state"].update(xi=0.6, fock_cutoff=20)
+        cfg["ml"]["fock_cutoff"] = 14
+        solves = record_solves(monkeypatch)
+        run(ScenarioConfig.from_dict(cfg), tmp_path)
+        assert len(solves) == 4 and all(init is None for init, _ in solves)
+
+    def test_warm_repetitions_spread_like_tight_cold_ones(self, tmp_path, monkeypatch):
+        # warm starts end each repetition elsewhere inside its certified
+        # gap, but neither the point estimate nor the spread moves
+        config, maximize = qutrit_noisy_both_config(), recon_ml.maximize
+        solves = record_solves(monkeypatch)
+        warm = run(config, tmp_path / "warm")
+        assert len(solves) == 31 and all(init is not None for init, _ in solves[1:])
+        assert all(res.converged for _, res in solves)
+        assert warm.reconstructions["ml"]["bootstrap"]["uncertified_repetitions"] == 0
+        monkeypatch.setattr(recon_ml, "maximize", former_cold_maximize(maximize, gap_tol=1e-7))
+        tight = run(config, tmp_path / "tight")
+        monkeypatch.setattr(recon_ml, "maximize", former_cold_maximize(maximize))
+        cold = run(config, tmp_path / "cold")
+
+        def column(report, key):
+            return np.array([e[key] for e in report.reconstructions["ml"]["entries"]])
+
+        spread = column(tight, "stderr") > 0.0
+        assert spread.sum() == 4 * 9  # all but the entries of the catch-all, which has no records
+        np.testing.assert_allclose(
+            column(warm, "stderr")[spread], column(tight, "stderr")[spread], rtol=1e-3
+        )
+        for key in ("value_re", "value_im"):
+            assert column(warm, key).tobytes() == column(cold, key).tobytes()
+        for name in ("ml_result.json", "averaging_reconstruction.csv"):
+            assert (tmp_path / "warm" / name).read_bytes() == (
+                tmp_path / "cold" / name
+            ).read_bytes(), name
 
     @pytest.mark.parametrize("scenario", ["fig4", "qubit-oracle", "homodyne-both", "qubit-sampled"])
     def test_tables_match_former_report_path(self, tmp_path, monkeypatch, scenario):
@@ -549,6 +622,36 @@ class TestMainCli:
         assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ML cutoff 24 exceeds the state's Fock cutoff 20")
+
+    @pytest.mark.parametrize(
+        "command, target, message",
+        [
+            ("run", "afile", "afile is not a directory"),
+            ("run", "afile/sub", "afile is not a directory"),
+            ("export-kernels", "adir", "must name a file in an existing directory"),
+            ("export-kernels", "missing/kernels.csv", "must name a file in an existing directory"),
+        ],
+    )
+    def test_unwritable_output_path_exit_code(
+        self, tmp_path, capsys, monkeypatch, command, target, message
+    ):
+        # checked before anything is built, and nothing is written
+        (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "adir").mkdir()
+        built, build_state = [], cli.build_state
+
+        def spy(params):
+            built.append(params)
+            return build_state(params)
+
+        monkeypatch.setattr(cli, "build_state", spy)
+        source, flag = ("qubit-oracle", "--output-dir") if command == "run" else ("fig2", "--out")
+        assert main([command, source, flag, str(tmp_path / target)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert built == []
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
     def test_run_builtin_with_overrides(self, tmp_path, capsys):
         code = main(
