@@ -74,7 +74,7 @@ BLOCK_KEYS = {
     "noise": {"depolarizing": {"p": NUMBER}},
 }
 OPTIONAL_KEYS = frozenset({"grid", "unbias_cutoff"})
-# block keys whose values may not be negative, whatever the block's kind
+# keys whose values may not be negative, in any block of any kind
 NONNEGATIVE_KEYS = frozenset({"seed", "fock_cutoff", "env_cutoff"})
 ML_KEYS = {"fock_cutoff": INT}  # what an ``ml`` block may set
 
@@ -127,6 +127,7 @@ class ScenarioConfig:
         if unknown_ml:
             raise ConfigError(f"unknown ml keys: {sorted(unknown_ml)}")
         _check_types("ml.", self.ml, ML_KEYS)
+        _check_nonnegative("ml", self.ml)
         homodyne = self.quorum["kind"] == "homodyne"
         if homodyne and self.exact_probabilities:
             raise ConfigError("exact-probability mode needs a finite quorum")
@@ -183,6 +184,11 @@ def _check_block(block: str, params: dict) -> None:
     if unknown:
         raise ConfigError(f"unknown {block} keys for kind {kind!r}: {unknown}")
     _check_types(f"{block}.", params, types)
+    _check_nonnegative(block, params)
+
+
+def _check_nonnegative(block: str, params: dict) -> None:
+    """Reject a negative value of a key in ``NONNEGATIVE_KEYS``."""
     for key in sorted(NONNEGATIVE_KEYS & set(params)):
         if params[key] < 0:
             raise ConfigError(f"{block}.{key} must be nonnegative, not {params[key]!r}")
@@ -468,13 +474,15 @@ def _fit_averaging(config, data, state, povm, quorum_obj, map_r, noise) -> _Fit:
         checks["clipping_ok"] = bool(clipped_fraction <= 1e-3)
         report["clipped_fraction"] = clipped_fraction
     else:
-        duals = quorum_mod.compute_dual_set(quorum_obj)
-        if config.exact_probabilities:
-            estimates = recon_avg.estimate_conditioned_finite_exact(
-                state, povm, quorum_obj, duals, noise
-            )
+        if config.exact_probabilities:  # the infinite-data limit of the counts
+            cells = sampler.joint_probability_tables(state, povm, quorum_obj).transpose(1, 0, 2)
         else:
-            estimates = recon_avg.estimate_conditioned_finite(data, quorum_obj, duals, noise)
+            shape = (int(data.outcome_n.max()) + 1, quorum_obj.n_settings, quorum_obj.dim)
+            cells = data.cell_counts(shape)
+        duals = quorum_mod.compute_dual_set(quorum_obj)
+        estimates = recon_avg.estimate_conditioned_finite(
+            cells, duals, noise, exact=config.exact_probabilities
+        )
     estimate = recon_avg.recover_povm(estimates, map_r)
     report.update(
         unobserved_outcomes=sorted(set(range(len(povm))) - set(estimate.outcomes)),
@@ -504,10 +512,6 @@ def _fit_ml(config, data, state, quorum_obj) -> _Fit:
         )
     else:
         problem = recon_ml.build_problem_finite(data, state, quorum_obj)
-
-    def values_of(povm):
-        return povm.diagonal() if homodyne else np.stack(povm.elements)
-
     result = recon_ml.maximize(problem)
     # warm only with a Newton step: multiplicative updates cannot revive entries held at 0
     init = result.povm_hat if hasattr(problem, "newton_direction") else None
@@ -516,10 +520,10 @@ def _fit_ml(config, data, state, quorum_obj) -> _Fit:
     def rerun(rng):
         res = recon_ml.maximize(problem.draw(rng), init=init)
         rep_converged.append(res.converged)
-        return values_of(res.povm_hat)
+        return problem.from_povm(res.povm_hat)
 
     boot = stats.bootstrap(rerun, config.bootstrap_reps, config.seed)
-    values = values_of(result.povm_hat)
+    values = problem.from_povm(result.povm_hat)
 
     monotone = bool(np.all(np.diff(result.ll_trace) >= -recon_ml.MONOTONE_SLACK))
     uncertified = rep_converged.count(False)

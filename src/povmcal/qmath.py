@@ -41,13 +41,6 @@ def vec(a: ComplexOperator) -> np.ndarray:
     return np.asarray(a, dtype=complex).reshape(-1)
 
 
-def unvec(v: np.ndarray, dim: int) -> ComplexOperator:
-    v = np.asarray(v, dtype=complex)
-    if v.size != dim * dim:
-        raise DimensionMismatchError(f"vector of size {v.size} is not {dim}x{dim}")
-    return v.reshape(dim, dim)
-
-
 def min_eigenvalue(stack) -> float:
     """Smallest eigenvalue of the Hermitian parts (X + X^dag)/2 over a
     stack of operators of shape (..., d, d).

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .detectors import Povm
 from .errors import UnsupportedStructureError
-from .quorum import FiniteQuorum, HomodyneQuorum, NoiseMap, noise_corrected_duals
-from .sampler import Dataset, group_by_label, joint_probability_tables
-from .states import BipartiteState, MapROperator
+from .quorum import HomodyneQuorum, NoiseMap, noise_corrected_duals
+from .sampler import Dataset, group_by_label
+from .states import MapROperator
 
 
 @dataclass(frozen=True)
@@ -38,67 +37,42 @@ class ConditionedEstimate:
 
 
 def estimate_conditioned_finite(
-    data: Dataset,
-    quorum: FiniteQuorum,
+    cells: np.ndarray,
     duals: np.ndarray,
     noise: NoiseMap | None = None,
+    *,
+    exact: bool = False,
 ) -> list[ConditionedEstimate]:
-    """Per-outcome dual-frame averages over the records.
+    """Per-outcome dual-frame averages over a cell table ``cells[n, k, m]``.
 
-    Each record contributes K * C^(k)_m (duals rescaled by the uniform
-    setting-selection probability 1/K); with a noise map the duals are
-    replaced by their noise-inverted counterparts.  Outcomes with zero
-    count produce no estimate.
+    The table holds the record counts of (outcome, setting, result) cells,
+    or, with ``exact``, the exact joint probabilities of the infinite-data
+    limit; either way each outcome's row, normalized, weights the
+    tomographer operators K * C^(k)_m (duals rescaled by the uniform
+    setting-selection probability 1/K).  With a noise map the duals are
+    replaced by their noise-inverted counterparts.  An exact estimate has
+    count 0 and stderr 0.  Outcomes with an empty row produce no estimate.
     """
-    if data.kind != "finite":
-        raise UnsupportedStructureError("finite estimator requires finite-quorum data")
     effective = noise_corrected_duals(duals, noise) if noise is not None else duals
     n_settings, d = effective.shape[0], effective.shape[-1]
-    scaled = n_settings * effective  # (K, d, d, d)
-
-    counts = data.cell_counts((int(data.outcome_n.max()) + 1, n_settings, scaled.shape[1]))
-    total = len(data)
-
-    flat_ops = scaled.reshape(-1, d, d)
+    flat_ops = (n_settings * effective).reshape(-1, d, d)
     flat_sq = np.abs(flat_ops) ** 2
+    total = cells.sum()
     estimates = []
-    for n in range(counts.shape[0]):
-        c_n = counts[n].reshape(-1).astype(float)
-        count = int(c_n.sum())
-        if count == 0:
+    for n, c_n in enumerate(cells.reshape(len(cells), -1)):
+        weight = c_n.sum()
+        if weight == 0:
             continue
-        freq = c_n / count
+        freq = c_n / weight
         mean = np.tensordot(freq, flat_ops, axes=1)
-        second = np.tensordot(freq, flat_sq, axes=1)
-        variance = np.maximum(second - np.abs(mean) ** 2, 0.0)
-        stderr = np.sqrt(variance / count)
-        estimates.append(
-            ConditionedEstimate(n, count / total, count, mean, stderr)
-        )
-    return estimates
-
-
-def estimate_conditioned_finite_exact(
-    state: BipartiteState,
-    povm: Povm,
-    quorum: FiniteQuorum,
-    duals: np.ndarray,
-    noise: NoiseMap | None = None,
-) -> list[ConditionedEstimate]:
-    """Infinite-data limit: exact conditional distributions instead of frequencies."""
-    tables = joint_probability_tables(state, povm, quorum)  # (K, n_out, d)
-    effective = noise_corrected_duals(duals, noise) if noise is not None else duals
-    n_settings = quorum.n_settings
-    p_n = tables.sum(axis=(0, 2)) / n_settings
-    estimates = []
-    for n in range(tables.shape[1]):
-        if p_n[n] <= 0.0:
-            continue
-        joint = tables[:, n, :] / n_settings  # p(k, m, n)
-        rho = np.einsum("km,kmij->ij", joint / p_n[n], n_settings * effective)
-        estimates.append(
-            ConditionedEstimate(n, float(p_n[n]), 0, rho, np.zeros_like(rho, dtype=float))
-        )
+        if exact:
+            count, stderr = 0, np.zeros(mean.shape)
+        else:
+            count = int(weight)
+            second = np.tensordot(freq, flat_sq, axes=1)
+            variance = np.maximum(second - np.abs(mean) ** 2, 0.0)
+            stderr = np.sqrt(variance / count)
+        estimates.append(ConditionedEstimate(n, float(weight / total), count, mean, stderr))
     return estimates
 
 
@@ -169,9 +143,10 @@ def recover_povm(estimates: list[ConditionedEstimate], map_r: MapROperator) -> P
     """
     if not estimates:
         raise ValueError("no conditioned estimates to invert")
-    diagonal = map_r.subspace == "diagonal"
-    outcomes, values, errors, p_hat = [], [], [], []
-    abs_pinv_sq = np.abs(map_r.pseudo_inverse) ** 2
+    pinv = map_r.pseudo_inverse
+    abs_pinv_sq = np.abs(pinv) ** 2
+    # an operator estimate maps to a (d, d) operator, a diagonal one to (d,)
+    shape = (map_r.dim_system,) * np.ndim(estimates[0].rho_hat)
 
     def push_variance(err_flat):
         # infinite input stderr (e.g. single-record outcomes) stays infinite
@@ -182,18 +157,13 @@ def recover_povm(estimates: list[ConditionedEstimate], map_r: MapROperator) -> P
         var[blown > 0.0] = np.inf
         return var
 
+    outcomes, values, errors, p_hat = [], [], [], []
     for est in estimates:
-        rho = est.rho_hat
-        if diagonal:
-            rho = np.asarray(rho)[: map_r.matrix.shape[0]]
-            err = np.asarray(est.stderr, dtype=float)[: map_r.matrix.shape[0]]
-            recovered = map_r.invert(rho)
-            var = push_variance(err)
-        else:
-            recovered = map_r.invert(rho)
-            var = push_variance(np.real(qmath.vec(est.stderr))).reshape(recovered.shape)
-        value = est.p_hat_n * recovered
-        err = est.p_hat_n * np.sqrt(np.maximum(np.real(var), 0.0))
+        # a diagonal estimate may carry more entries than the map's cutoff
+        rho = np.ravel(est.rho_hat)[: pinv.shape[1]]
+        err = np.ravel(est.stderr)[: pinv.shape[1]]
+        value = est.p_hat_n * (pinv @ rho).reshape(shape)
+        err = est.p_hat_n * np.sqrt(np.maximum(push_variance(err), 0.0)).reshape(shape)
         if est.count > 0:
             err = np.sqrt(err**2 + (1.0 - est.p_hat_n) * np.abs(value) ** 2 / est.count)
         outcomes.append(est.outcome_n)
@@ -202,7 +172,7 @@ def recover_povm(estimates: list[ConditionedEstimate], map_r: MapROperator) -> P
         p_hat.append(est.p_hat_n)
 
     values_arr = np.stack(values)
-    if diagonal:
+    if map_r.subspace == "diagonal":
         values_arr = np.real(values_arr)
         total = values_arr.sum(axis=0)
         completeness = float(np.abs(total - 1.0).max())

@@ -8,7 +8,7 @@ regardless of scheduling; block outputs are concatenated in block order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,14 +51,6 @@ class Dataset:
     @property
     def counts_by_n(self) -> np.ndarray:
         return np.bincount(self.outcome_n)
-
-    def subset(self, indices) -> "Dataset":
-        return replace(
-            self,
-            outcome_n=self.outcome_n[indices],
-            setting_k=self.setting_k[indices],
-            result=self.result[indices],
-        )
 
     def cell_counts(self, shape: tuple[int, int, int], outcome_row=None) -> np.ndarray:
         """Count tensor of finite records over (outcome, setting, result)

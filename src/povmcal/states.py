@@ -160,13 +160,6 @@ class MapROperator:
         n = self.matrix.shape[1]
         return int(round(np.sqrt(n))) if self.subspace == "full" else n
 
-    def invert(self, y: ComplexOperator | np.ndarray) -> np.ndarray:
-        """Inverse action; takes/returns matrices ("full") or diagonal vectors."""
-        if self.subspace == "full":
-            x = self.pseudo_inverse @ qmath.vec(y)
-            return qmath.unvec(x, self.dim_system)
-        return self.pseudo_inverse @ np.asarray(y)
-
 
 def _pinv_with_condition(matrix: np.ndarray, svd_tolerance: float):
     u, s, vh = np.linalg.svd(matrix, full_matrices=False)

@@ -6,7 +6,9 @@ production code paths it is used to check.
 
 The middle section holds reference operations that a calibration never
 runs: tensor products and partial traces, invariant checks of POVMs and
-states, forward maps, and the comparison of two estimators' errors.
+states, forward maps, the finite ML problem of expected counts, record
+counts and subsets of a dataset, and the comparison of two estimators'
+errors.
 
 The next section keeps former implementations of code that was rewritten
 to use less memory: one boolean mask per label instead of grouped records,
@@ -34,7 +36,7 @@ ones started at the point estimate: every solve cold from the uniform POVM.
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -240,14 +242,53 @@ def map_r_apply(map_r, x):
     full subspace and vectors of diagonal entries on the diagonal one."""
     if map_r.subspace == "full":
         dim_tomo = int(round(np.sqrt(map_r.matrix.shape[0])))
-        return qmath.unvec(map_r.matrix @ qmath.vec(x), dim_tomo)
+        return (map_r.matrix @ qmath.vec(x)).reshape(dim_tomo, dim_tomo)
     return map_r.matrix @ np.asarray(x)
 
 
 def noise_apply(noise, x):
     """A noise map acting on the operator ``x`` (a state)."""
     dim = int(round(np.sqrt(noise.superoperator.shape[0])))
-    return qmath.unvec(noise.superoperator @ qmath.vec(x), dim)
+    return (noise.superoperator @ qmath.vec(x)).reshape(dim, dim)
+
+
+def exact_count_problem(state, povm, quorum, n_records):
+    """The finite ML problem of ``n_records`` records whose cell counts are
+    their expected values N p(n, k, m), with the setting k uniform, plus a
+    catch-all outcome with no counts.  By Gibbs' inequality the true POVM,
+    padded with a zero catch-all element, maximizes its likelihood.
+
+    Each effect T_km = Tr_2[(1 (x) |b^k_m><b^k_m|) R] is a partial trace of
+    an explicit tensor product.
+    """
+    ds, dt = state.dim_system, state.dim_tomo
+    effects = np.empty((quorum.n_settings, dt, ds, ds), dtype=complex)
+    for k, basis in enumerate(quorum.vectors):
+        for m, v in enumerate(basis):
+            x = tensor_product(np.eye(ds), np.outer(v, v.conj())) @ state.rho
+            effects[k, m] = np.einsum("apbp->ab", x.reshape(ds, dt, ds, dt))
+    tables = sampler.joint_probability_tables(state, povm, quorum)  # (K, n, d)
+    counts = np.zeros((len(povm) + 1, quorum.n_settings, dt))
+    counts[:-1] = n_records * tables.transpose(1, 0, 2) / quorum.n_settings
+    return recon_ml.FiniteMlProblem(effects, counts, tuple(range(len(povm) + 1)), ds)
+
+
+def cell_table(data, quorum):
+    """Counts cells[n, k, m] of finite records over the outcomes up to the
+    largest seen and the quorum's settings and results."""
+    cells = np.zeros((data.outcome_n.max() + 1, quorum.n_settings, quorum.dim), dtype=np.int64)
+    np.add.at(cells, (data.outcome_n, data.setting_k, data.result), 1)
+    return cells
+
+
+def subset(data, indices):
+    """The dataset of the records ``indices`` of ``data``, in that order."""
+    return replace(
+        data,
+        outcome_n=data.outcome_n[indices],
+        setting_k=data.setting_k[indices],
+        result=data.result[indices],
+    )
 
 
 @dataclass(frozen=True)

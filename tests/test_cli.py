@@ -156,6 +156,7 @@ class TestScenarioConfig:
             ("fig2", "quorum", "fock_cutoff", -1, "quorum.fock_cutoff must be nonnegative, not -1"),
             ("qubit-sampled", None, "svd_tolerance", -1e-10, "svd_tolerance must be nonnegative"),
             ("fig2", "detector", "env_cutoff", -5, "detector.env_cutoff must be nonnegative, not -5"),
+            ("fig4", "ml", "fock_cutoff", -1, "ml.fock_cutoff must be nonnegative, not -1"),
         ],
     )
     def test_rejected_values(self, scenario, block, key, value, message):

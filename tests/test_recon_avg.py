@@ -13,11 +13,15 @@ from povmcal.quorum import (
 )
 from povmcal.recon_avg import (
     estimate_conditioned_finite,
-    estimate_conditioned_finite_exact,
     estimate_conditioned_homodyne,
     recover_povm,
 )
-from povmcal.sampler import Dataset, sample_finite, sample_homodyne_twinbeam
+from povmcal.sampler import (
+    Dataset,
+    joint_probability_tables,
+    sample_finite,
+    sample_homodyne_twinbeam,
+)
 from povmcal.scenarios import scenario_config
 from povmcal.states import (
     apply_noise_tomo_side,
@@ -27,10 +31,20 @@ from povmcal.states import (
     twin_beam,
 )
 
-from oracles import former_estimate_conditioned_homodyne, partial_trace_first, tensor_product
+from oracles import (
+    cell_table,
+    former_estimate_conditioned_homodyne,
+    partial_trace_first,
+    tensor_product,
+)
 from test_sampler import fock_pair_state
 
 HQ = homodyne_quorum(6, 0.9, grid=(-6.0, 6.0, 1.0 / 256.0))
+
+
+def exact_cells(state, povm, quorum):
+    """The exact joint probabilities p(k, n, m) as a cell table over (n, k, m)."""
+    return joint_probability_tables(state, povm, quorum).transpose(1, 0, 2)
 
 
 def conditioned_oracle(state, povm, n):
@@ -49,7 +63,8 @@ class TestConditionedFiniteExact:
         povm = random_povm(2, 3, seed=1)
         quorum = pauli_quorum()
         duals = compute_dual_set(quorum)
-        estimates = estimate_conditioned_finite_exact(state, povm, quorum, duals)
+        cells = exact_cells(state, povm, quorum)
+        estimates = estimate_conditioned_finite(cells, duals, exact=True)
         assert [e.outcome_n for e in estimates] == [0, 1, 2]
         for est in estimates:
             rho_n, p_n = conditioned_oracle(state, povm, est.outcome_n)
@@ -60,9 +75,25 @@ class TestConditionedFiniteExact:
         state = maximally_entangled(2)
         povm = Povm((np.eye(2, dtype=complex),))
         duals = compute_dual_set(pauli_quorum())
-        (est,) = estimate_conditioned_finite_exact(state, povm, pauli_quorum(), duals)
+        cells = exact_cells(state, povm, pauli_quorum())
+        (est,) = estimate_conditioned_finite(cells, duals, exact=True)
         np.testing.assert_allclose(est.rho_hat, np.eye(2) / 2, atol=1e-12)
         np.testing.assert_allclose(est.p_hat_n, 1.0, atol=1e-12)
+
+    def test_exact_differs_from_sampled_only_in_count_and_stderr(self):
+        state = maximally_entangled(3)
+        povm = random_povm(3, 4, seed=2)
+        quorum = random_basis_quorum(3, 4, seed=3)
+        duals = compute_dual_set(quorum)
+        cells = 1000.0 * exact_cells(state, povm, quorum)
+        exact = estimate_conditioned_finite(cells, duals, exact=True)
+        sampled = estimate_conditioned_finite(cells, duals)
+        assert len(exact) == len(sampled) == 4
+        for a, b in zip(exact, sampled):
+            assert (a.outcome_n, a.p_hat_n) == (b.outcome_n, b.p_hat_n)
+            np.testing.assert_array_equal(a.rho_hat, b.rho_hat)
+            assert a.count == 0 and b.count > 0
+            assert not a.stderr.any() and b.stderr.all()
 
 
 class TestConditionedFiniteSampled:
@@ -74,7 +105,7 @@ class TestConditionedFiniteSampled:
         hits = total = 0
         for seed in range(20):
             data = sample_finite(state, povm, quorum, 100_000, seed=seed)
-            for est in estimate_conditioned_finite(data, quorum, duals):
+            for est in estimate_conditioned_finite(cell_table(data, quorum), duals):
                 rho_n, _ = conditioned_oracle(state, povm, est.outcome_n)
                 err = np.abs(est.rho_hat - rho_n)
                 hits += int((err < 5 * est.stderr).sum())
@@ -87,7 +118,7 @@ class TestConditionedFiniteSampled:
         quorum = pauli_quorum()
         duals = compute_dual_set(quorum)
         data = sample_finite(state, povm, quorum, 10_000, seed=0)
-        estimates = estimate_conditioned_finite(data, quorum, duals)
+        estimates = estimate_conditioned_finite(cell_table(data, quorum), duals)
         assert sum(e.p_hat_n for e in estimates) == 1.0
 
     @pytest.mark.properties
@@ -101,7 +132,7 @@ class TestConditionedFiniteSampled:
             pooled = []
             for seed in range(5):
                 data = sample_finite(state, povm, quorum, n_records, seed=seed)
-                for est in estimate_conditioned_finite(data, quorum, duals):
+                for est in estimate_conditioned_finite(cell_table(data, quorum), duals):
                     pooled.extend(est.stderr.ravel())
             medians.append(np.median(pooled))
         ratio = medians[0] / medians[1]
@@ -172,7 +203,8 @@ class TestRecoverPovm:
         quorum = pauli_quorum()
         duals = compute_dual_set(quorum)
         map_r = build_map_R(state)
-        estimates = estimate_conditioned_finite_exact(state, povm, quorum, duals)
+        cells = exact_cells(state, povm, quorum)
+        estimates = estimate_conditioned_finite(cells, duals, exact=True)
         recovered = recover_povm(estimates, map_r)
         for idx, n in enumerate(recovered.outcomes):
             np.testing.assert_allclose(recovered.values[idx], povm[n], atol=1e-8)
@@ -184,7 +216,8 @@ class TestRecoverPovm:
         quorum = random_basis_quorum(3, 4, seed=3)
         duals = compute_dual_set(quorum)
         map_r = build_map_R(state)
-        estimates = estimate_conditioned_finite_exact(state, povm, quorum, duals)
+        cells = exact_cells(state, povm, quorum)
+        estimates = estimate_conditioned_finite(cells, duals, exact=True)
         recovered = recover_povm(estimates, map_r)
         for idx, n in enumerate(recovered.outcomes):
             np.testing.assert_allclose(recovered.values[idx], povm[n], atol=1e-8)
@@ -197,9 +230,8 @@ class TestRecoverPovm:
         noise = noise_map_from_superoperator(depolarizing_superoperator(0.3, 2))
         noisy_state = apply_noise_tomo_side(state, noise)
         map_r = build_map_R(state)  # map of the *noiseless* state
-        estimates = estimate_conditioned_finite_exact(
-            noisy_state, povm, quorum, duals, noise
-        )
+        cells = exact_cells(noisy_state, povm, quorum)
+        estimates = estimate_conditioned_finite(cells, duals, noise, exact=True)
         recovered = recover_povm(estimates, map_r)
         for idx, n in enumerate(recovered.outcomes):
             np.testing.assert_allclose(recovered.values[idx], povm[n], atol=1e-8)
@@ -213,7 +245,7 @@ class TestRecoverPovm:
         noisy_state = apply_noise_tomo_side(state, noise)
         map_r = build_map_R(state)
         data = sample_finite(noisy_state, povm, quorum, 200_000, seed=5)
-        estimates = estimate_conditioned_finite(data, quorum, duals, noise)
+        estimates = estimate_conditioned_finite(cell_table(data, quorum), duals, noise)
         recovered = recover_povm(estimates, map_r)
         for idx, n in enumerate(recovered.outcomes):
             err = np.abs(recovered.values[idx] - povm[n])
@@ -288,7 +320,8 @@ class TestRecoverPovm:
         values, stderrs = [], []
         for seed in range(n_seeds):
             data = sample_finite(noisy_state, povm, quorum, 5_000, seed=seed)
-            recovered = recover_povm(estimate_conditioned_finite(data, quorum, duals, noise), map_r)
+            estimates = estimate_conditioned_finite(cell_table(data, quorum), duals, noise)
+            recovered = recover_povm(estimates, map_r)
             assert recovered.outcomes == (0, 1, 2, 3)
             values.append(recovered.values)
             stderrs.append(recovered.stderr)
@@ -311,7 +344,7 @@ class TestRecoverPovm:
         duals = compute_dual_set(quorum)
         map_r = build_map_R(state)
         data = sample_finite(state, povm, quorum, 50_000, seed=7)
-        estimates = estimate_conditioned_finite(data, quorum, duals)
+        estimates = estimate_conditioned_finite(cell_table(data, quorum), duals)
         recovered = recover_povm(estimates, map_r)
         err = np.abs(recovered.values[0] - np.eye(2))
         assert np.all(err < 5 * recovered.stderr[0] + 1e-12)
@@ -324,7 +357,7 @@ class TestRecoverPovm:
         duals = compute_dual_set(quorum)
         map_r = build_map_R(state)
         data = sample_finite(state, povm, quorum, 100_000, seed=9)
-        estimates = estimate_conditioned_finite(data, quorum, duals)
+        estimates = estimate_conditioned_finite(cell_table(data, quorum), duals)
         recovered = recover_povm(estimates, map_r)
         total = recovered.values.sum(axis=0)
         combined = np.sqrt((recovered.stderr**2).sum(axis=0))

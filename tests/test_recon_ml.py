@@ -22,12 +22,18 @@ from povmcal.recon_ml import (
     _outcome_rows,
     maximize,
 )
-from povmcal.sampler import Dataset, joint_probability_tables, sample_finite, sample_homodyne_twinbeam
+from povmcal.sampler import Dataset, sample_finite, sample_homodyne_twinbeam
 from povmcal.scenarios import scenario_config
 from povmcal.states import apply_noise_tomo_side, maximally_entangled, twin_beam
 from povmcal.stats import bootstrap
 
-from oracles import former_diagonal_rows, former_newton_direction, projective_povm
+from oracles import (
+    exact_count_problem,
+    former_diagonal_rows,
+    former_newton_direction,
+    projective_povm,
+    subset,
+)
 
 HQ = homodyne_quorum(6, 0.9, grid=(-6.0, 6.0, 1.0 / 256.0))
 
@@ -41,18 +47,12 @@ def make_finite_problem(n_records=50_000, seed=0, povm_seed=1):
 
 
 def expected_count_problem(povm_seed=1, n_records=10_000):
-    """Finite problem with exact expected counts (infinite-data analogue)."""
+    """Finite problem with exact expected counts (infinite-data analogue),
+    without a catch-all outcome."""
     state = maximally_entangled(2)
     povm = random_povm(2, 3, seed=povm_seed)
-    quorum = pauli_quorum()
-    tables = joint_probability_tables(state, povm, quorum)  # (K, n, m)
-    counts = n_records * tables.transpose(1, 0, 2) / quorum.n_settings
-    dummy = sample_finite(state, povm, quorum, 10, seed=0)
-    problem = build_problem_finite(dummy, state, quorum)
-    return (
-        FiniteMlProblem(problem.effects, counts, (0, 1, 2), 2),
-        povm,
-    )
+    problem = exact_count_problem(state, povm, pauli_quorum(), n_records)
+    return FiniteMlProblem(problem.effects, problem.counts[:-1], (0, 1, 2), 2), povm
 
 
 class TestLogLikelihood:
@@ -109,6 +109,25 @@ class TestLogLikelihood:
 
 
 class TestMaximizeFinite:
+    @pytest.mark.parametrize("n_records", [1e5, 1e7])
+    @pytest.mark.parametrize("name", ["qubit-oracle", "qutrit-oracle"])
+    def test_exact_counts_certify_at_the_truth(self, name, n_records):
+        """On the expected counts N p(n, k, m) the true POVM, with a zero
+        catch-all element, is the global maximizer (Gibbs' inequality), so a
+        converged solve must be certified there: within 1e-8 of the truth,
+        and short of its likelihood by no more than the certified gap."""
+        cfg = scenario_config(name)
+        state = build_state(cfg["state"])
+        povm = build_detector(cfg["detector"], state)
+        quorum = build_quorum(cfg["quorum"], state.dim_tomo)
+        problem = exact_count_problem(state, povm, quorum, n_records)
+        truth = np.concatenate([np.stack(povm.elements), np.zeros((1,) + povm[0].shape)])
+        result = maximize(problem)
+        assert result.converged
+        assert np.abs(problem.from_povm(result.povm_hat) - truth).max() <= 1e-8
+        ll_truth = problem.evaluate(truth)[0]
+        assert ll_truth - result.final_log_likelihood <= result.ll_gap
+
     def test_truth_is_fixed_point_on_expected_counts(self):
         problem, povm = expected_count_problem()
         result = maximize(problem, init=povm, max_iters=50)
@@ -361,7 +380,7 @@ class TestResample:
         problem, data, state = self.diagonal()
         indices, counts = _resample_counts(data, 21)
         resampled = problem.resample(indices)
-        rebuilt = build_problem_diagonal(data.subset(indices), state, HQ, fock_cutoff=14)
+        rebuilt = build_problem_diagonal(subset(data, indices), state, HQ, fock_cutoff=14)
         assert resampled.outcomes == rebuilt.outcomes == problem.outcomes
         assert len(resampled.rows) == np.count_nonzero(counts)
         rng = np.random.default_rng(22)
@@ -376,7 +395,7 @@ class TestResample:
         problem, data, state = self.diagonal()
         indices, counts = _resample_counts(data, 23)
         resampled = problem.resample(indices)
-        rebuilt = build_problem_diagonal(data.subset(indices), state, HQ, fock_cutoff=14)
+        rebuilt = build_problem_diagonal(subset(data, indices), state, HQ, fock_cutoff=14)
         assert resampled.responses.shape == rebuilt.responses.shape == (len(data), problem.dim)
         # the response table is one matrix product, so rows computed in another
         # batch may differ in the last bit
