@@ -475,10 +475,9 @@ def _fit_averaging(config, data, state, povm, quorum_obj, map_r, noise) -> _Fit:
         report["clipped_fraction"] = clipped_fraction
     else:
         if config.exact_probabilities:  # the infinite-data limit of the counts
-            cells = sampler.joint_probability_tables(state, povm, quorum_obj).transpose(1, 0, 2)
+            cells = sampler.joint_probability_tables(state, povm, quorum_obj)
         else:
-            shape = (int(data.outcome_n.max()) + 1, quorum_obj.n_settings, quorum_obj.dim)
-            cells = data.cell_counts(shape)
+            cells = data.cell_counts((len(povm), quorum_obj.n_settings, quorum_obj.dim))
         duals = quorum_mod.compute_dual_set(quorum_obj)
         estimates = recon_avg.estimate_conditioned_finite(
             cells, duals, noise, exact=config.exact_probabilities

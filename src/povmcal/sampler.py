@@ -94,7 +94,8 @@ def _block_rngs(seed: int, stream: int, n_records: int):
 def joint_probability_tables(
     state: BipartiteState, povm: Povm, quorum: FiniteQuorum
 ) -> np.ndarray:
-    """Exact p(n, m | k) = Tr[(P_n (x) |b^k_m><b^k_m|) R], shape (K, n_out, d).
+    """Exact p(n, m | k) = Tr[(P_n (x) |b^k_m><b^k_m|) R], shape (n_out, K, d):
+    the (outcome, setting, result) cell layout of :meth:`Dataset.cell_counts`.
 
     Evaluated as <b^k_m| Tr_1[(P_n (x) 1) R] |b^k_m>.
     """
@@ -116,7 +117,7 @@ def joint_probability_tables(
     sums = tables.sum(axis=(1, 2))
     if np.abs(sums - 1.0).max() > 1e-8:
         raise NumericalValidityError("joint probabilities do not sum to 1 per setting")
-    return tables / sums[:, None, None]
+    return (tables / sums[:, None, None]).transpose(1, 0, 2)
 
 
 def sample_finite(
@@ -128,7 +129,7 @@ def sample_finite(
     scenario_id: str = "",
 ) -> Dataset:
     """Draw records from the exact joint tables: k uniform, then (n, m) ~ p(n,m|k)."""
-    tables = joint_probability_tables(state, povm, quorum)
+    tables = joint_probability_tables(state, povm, quorum).transpose(1, 0, 2)
     n_settings, n_out, d = tables.shape
     cumulative = tables.reshape(n_settings, n_out * d).cumsum(axis=1)
     cumulative[:, -1] = 1.0

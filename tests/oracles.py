@@ -6,9 +6,8 @@ production code paths it is used to check.
 
 The middle section holds reference operations that a calibration never
 runs: tensor products and partial traces, invariant checks of POVMs and
-states, forward maps, the finite ML problem of expected counts, record
-counts and subsets of a dataset, and the comparison of two estimators'
-errors.
+states, forward maps, the finite ML problem of expected counts, subsets
+of a dataset, and the comparison of two estimators' errors.
 
 The next section keeps former implementations of code that was rewritten
 to use less memory: one boolean mask per label instead of grouped records,
@@ -267,18 +266,10 @@ def exact_count_problem(state, povm, quorum, n_records):
         for m, v in enumerate(basis):
             x = tensor_product(np.eye(ds), np.outer(v, v.conj())) @ state.rho
             effects[k, m] = np.einsum("apbp->ab", x.reshape(ds, dt, ds, dt))
-    tables = sampler.joint_probability_tables(state, povm, quorum)  # (K, n, d)
+    tables = sampler.joint_probability_tables(state, povm, quorum)  # (n, k, m)
     counts = np.zeros((len(povm) + 1, quorum.n_settings, dt))
-    counts[:-1] = n_records * tables.transpose(1, 0, 2) / quorum.n_settings
+    counts[:-1] = n_records * tables / quorum.n_settings
     return recon_ml.FiniteMlProblem(effects, counts, tuple(range(len(povm) + 1)), ds)
-
-
-def cell_table(data, quorum):
-    """Counts cells[n, k, m] of finite records over the outcomes up to the
-    largest seen and the quorum's settings and results."""
-    cells = np.zeros((data.outcome_n.max() + 1, quorum.n_settings, quorum.dim), dtype=np.int64)
-    np.add.at(cells, (data.outcome_n, data.setting_k, data.result), 1)
-    return cells
 
 
 def subset(data, indices):
@@ -336,7 +327,7 @@ def compare_mse(recon_a, recon_b, truth, entry_set):
 
 def former_sample_finite(state, povm, quorum, n_records, seed):
     """(outcome_n, setting_k, result) of ``sampler.sample_finite``, one mask per setting."""
-    tables = sampler.joint_probability_tables(state, povm, quorum)
+    tables = sampler.joint_probability_tables(state, povm, quorum).transpose(1, 0, 2)
     n_settings, n_out, d = tables.shape
     cumulative = tables.reshape(n_settings, n_out * d).cumsum(axis=1)
     cumulative[:, -1] = 1.0

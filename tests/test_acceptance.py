@@ -23,7 +23,7 @@ from povmcal.scenarios import scenario_config
 from povmcal.states import build_diagonal_map_R, build_map_R, maximally_entangled, twin_beam
 from povmcal.stats import bootstrap
 
-from oracles import beam_splitter_counter_oracle, cell_table, compare_mse, subset
+from oracles import beam_splitter_counter_oracle, compare_mse, subset
 
 pytestmark = pytest.mark.acceptance
 
@@ -59,16 +59,17 @@ def test_criterion_2_finite_sampled_coverage():
     quorum = pauli_quorum()
     duals = compute_dual_set(quorum)
     map_r = build_map_R(state)
+    shape = (len(povm), quorum.n_settings, quorum.dim)
 
     hits = total = 0
     for seed in range(20):
         data = sample_finite(state, povm, quorum, 100_000, seed=1000 + seed)
-        point = recover_povm(estimate_conditioned_finite(cell_table(data, quorum), duals), map_r)
+        point = recover_povm(estimate_conditioned_finite(data.cell_counts(shape), duals), map_r)
         outcomes = point.outcomes
 
         def entries(rng):
             ds = subset(data, rng.integers(0, len(data), len(data)))
-            est = recover_povm(estimate_conditioned_finite(cell_table(ds, quorum), duals), map_r)
+            est = recover_povm(estimate_conditioned_finite(ds.cell_counts(shape), duals), map_r)
             by_outcome = dict(zip(est.outcomes, est.values))
             return np.stack([by_outcome.get(n, np.full((2, 2), np.nan)) for n in outcomes])
 

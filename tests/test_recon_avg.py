@@ -31,20 +31,15 @@ from povmcal.states import (
     twin_beam,
 )
 
-from oracles import (
-    cell_table,
-    former_estimate_conditioned_homodyne,
-    partial_trace_first,
-    tensor_product,
-)
+from oracles import former_estimate_conditioned_homodyne, partial_trace_first, tensor_product
 from test_sampler import fock_pair_state
 
 HQ = homodyne_quorum(6, 0.9, grid=(-6.0, 6.0, 1.0 / 256.0))
 
 
-def exact_cells(state, povm, quorum):
-    """The exact joint probabilities p(k, n, m) as a cell table over (n, k, m)."""
-    return joint_probability_tables(state, povm, quorum).transpose(1, 0, 2)
+def record_cells(data, povm, quorum):
+    """The record counts of ``data`` as a cell table over (n, k, m)."""
+    return data.cell_counts((len(povm), quorum.n_settings, quorum.dim))
 
 
 def conditioned_oracle(state, povm, n):
@@ -63,7 +58,7 @@ class TestConditionedFiniteExact:
         povm = random_povm(2, 3, seed=1)
         quorum = pauli_quorum()
         duals = compute_dual_set(quorum)
-        cells = exact_cells(state, povm, quorum)
+        cells = joint_probability_tables(state, povm, quorum)
         estimates = estimate_conditioned_finite(cells, duals, exact=True)
         assert [e.outcome_n for e in estimates] == [0, 1, 2]
         for est in estimates:
@@ -75,7 +70,7 @@ class TestConditionedFiniteExact:
         state = maximally_entangled(2)
         povm = Povm((np.eye(2, dtype=complex),))
         duals = compute_dual_set(pauli_quorum())
-        cells = exact_cells(state, povm, pauli_quorum())
+        cells = joint_probability_tables(state, povm, pauli_quorum())
         (est,) = estimate_conditioned_finite(cells, duals, exact=True)
         np.testing.assert_allclose(est.rho_hat, np.eye(2) / 2, atol=1e-12)
         np.testing.assert_allclose(est.p_hat_n, 1.0, atol=1e-12)
@@ -85,7 +80,7 @@ class TestConditionedFiniteExact:
         povm = random_povm(3, 4, seed=2)
         quorum = random_basis_quorum(3, 4, seed=3)
         duals = compute_dual_set(quorum)
-        cells = 1000.0 * exact_cells(state, povm, quorum)
+        cells = 1000.0 * joint_probability_tables(state, povm, quorum)
         exact = estimate_conditioned_finite(cells, duals, exact=True)
         sampled = estimate_conditioned_finite(cells, duals)
         assert len(exact) == len(sampled) == 4
@@ -105,7 +100,7 @@ class TestConditionedFiniteSampled:
         hits = total = 0
         for seed in range(20):
             data = sample_finite(state, povm, quorum, 100_000, seed=seed)
-            for est in estimate_conditioned_finite(cell_table(data, quorum), duals):
+            for est in estimate_conditioned_finite(record_cells(data, povm, quorum), duals):
                 rho_n, _ = conditioned_oracle(state, povm, est.outcome_n)
                 err = np.abs(est.rho_hat - rho_n)
                 hits += int((err < 5 * est.stderr).sum())
@@ -118,7 +113,7 @@ class TestConditionedFiniteSampled:
         quorum = pauli_quorum()
         duals = compute_dual_set(quorum)
         data = sample_finite(state, povm, quorum, 10_000, seed=0)
-        estimates = estimate_conditioned_finite(cell_table(data, quorum), duals)
+        estimates = estimate_conditioned_finite(record_cells(data, povm, quorum), duals)
         assert sum(e.p_hat_n for e in estimates) == 1.0
 
     @pytest.mark.properties
@@ -132,7 +127,7 @@ class TestConditionedFiniteSampled:
             pooled = []
             for seed in range(5):
                 data = sample_finite(state, povm, quorum, n_records, seed=seed)
-                for est in estimate_conditioned_finite(cell_table(data, quorum), duals):
+                for est in estimate_conditioned_finite(record_cells(data, povm, quorum), duals):
                     pooled.extend(est.stderr.ravel())
             medians.append(np.median(pooled))
         ratio = medians[0] / medians[1]
@@ -203,7 +198,7 @@ class TestRecoverPovm:
         quorum = pauli_quorum()
         duals = compute_dual_set(quorum)
         map_r = build_map_R(state)
-        cells = exact_cells(state, povm, quorum)
+        cells = joint_probability_tables(state, povm, quorum)
         estimates = estimate_conditioned_finite(cells, duals, exact=True)
         recovered = recover_povm(estimates, map_r)
         for idx, n in enumerate(recovered.outcomes):
@@ -216,7 +211,7 @@ class TestRecoverPovm:
         quorum = random_basis_quorum(3, 4, seed=3)
         duals = compute_dual_set(quorum)
         map_r = build_map_R(state)
-        cells = exact_cells(state, povm, quorum)
+        cells = joint_probability_tables(state, povm, quorum)
         estimates = estimate_conditioned_finite(cells, duals, exact=True)
         recovered = recover_povm(estimates, map_r)
         for idx, n in enumerate(recovered.outcomes):
@@ -230,7 +225,7 @@ class TestRecoverPovm:
         noise = noise_map_from_superoperator(depolarizing_superoperator(0.3, 2))
         noisy_state = apply_noise_tomo_side(state, noise)
         map_r = build_map_R(state)  # map of the *noiseless* state
-        cells = exact_cells(noisy_state, povm, quorum)
+        cells = joint_probability_tables(noisy_state, povm, quorum)
         estimates = estimate_conditioned_finite(cells, duals, noise, exact=True)
         recovered = recover_povm(estimates, map_r)
         for idx, n in enumerate(recovered.outcomes):
@@ -245,7 +240,7 @@ class TestRecoverPovm:
         noisy_state = apply_noise_tomo_side(state, noise)
         map_r = build_map_R(state)
         data = sample_finite(noisy_state, povm, quorum, 200_000, seed=5)
-        estimates = estimate_conditioned_finite(cell_table(data, quorum), duals, noise)
+        estimates = estimate_conditioned_finite(record_cells(data, povm, quorum), duals, noise)
         recovered = recover_povm(estimates, map_r)
         for idx, n in enumerate(recovered.outcomes):
             err = np.abs(recovered.values[idx] - povm[n])
@@ -320,7 +315,7 @@ class TestRecoverPovm:
         values, stderrs = [], []
         for seed in range(n_seeds):
             data = sample_finite(noisy_state, povm, quorum, 5_000, seed=seed)
-            estimates = estimate_conditioned_finite(cell_table(data, quorum), duals, noise)
+            estimates = estimate_conditioned_finite(record_cells(data, povm, quorum), duals, noise)
             recovered = recover_povm(estimates, map_r)
             assert recovered.outcomes == (0, 1, 2, 3)
             values.append(recovered.values)
@@ -344,7 +339,7 @@ class TestRecoverPovm:
         duals = compute_dual_set(quorum)
         map_r = build_map_R(state)
         data = sample_finite(state, povm, quorum, 50_000, seed=7)
-        estimates = estimate_conditioned_finite(cell_table(data, quorum), duals)
+        estimates = estimate_conditioned_finite(record_cells(data, povm, quorum), duals)
         recovered = recover_povm(estimates, map_r)
         err = np.abs(recovered.values[0] - np.eye(2))
         assert np.all(err < 5 * recovered.stderr[0] + 1e-12)
@@ -357,7 +352,7 @@ class TestRecoverPovm:
         duals = compute_dual_set(quorum)
         map_r = build_map_R(state)
         data = sample_finite(state, povm, quorum, 100_000, seed=9)
-        estimates = estimate_conditioned_finite(cell_table(data, quorum), duals)
+        estimates = estimate_conditioned_finite(record_cells(data, povm, quorum), duals)
         recovered = recover_povm(estimates, map_r)
         total = recovered.values.sum(axis=0)
         combined = np.sqrt((recovered.stderr**2).sum(axis=0))

@@ -22,7 +22,7 @@ from povmcal.recon_ml import (
     _outcome_rows,
     maximize,
 )
-from povmcal.sampler import Dataset, sample_finite, sample_homodyne_twinbeam
+from povmcal.sampler import Dataset, joint_probability_tables, sample_finite, sample_homodyne_twinbeam
 from povmcal.scenarios import scenario_config
 from povmcal.states import apply_noise_tomo_side, maximally_entangled, twin_beam
 from povmcal.stats import bootstrap
@@ -48,11 +48,25 @@ def make_finite_problem(n_records=50_000, seed=0, povm_seed=1):
 
 def expected_count_problem(povm_seed=1, n_records=10_000):
     """Finite problem with exact expected counts (infinite-data analogue),
-    without a catch-all outcome."""
+    on the effects that ``build_problem_finite`` computes."""
     state = maximally_entangled(2)
     povm = random_povm(2, 3, seed=povm_seed)
-    problem = exact_count_problem(state, povm, pauli_quorum(), n_records)
-    return FiniteMlProblem(problem.effects, problem.counts[:-1], (0, 1, 2), 2), povm
+    quorum = pauli_quorum()
+    counts = n_records * joint_probability_tables(state, povm, quorum) / quorum.n_settings
+    dummy = sample_finite(state, povm, quorum, 10, seed=0)
+    problem = build_problem_finite(dummy, state, quorum)
+    return (
+        FiniteMlProblem(problem.effects, counts, (0, 1, 2), 2),
+        povm,
+    )
+
+
+def oracle_pair(name):
+    """State, detector and quorum of the builtin scenario ``name``."""
+    cfg = scenario_config(name)
+    state = build_state(cfg["state"])
+    povm = build_detector(cfg["detector"], state)
+    return state, povm, build_quorum(cfg["quorum"], state.dim_tomo)
 
 
 class TestLogLikelihood:
@@ -116,10 +130,7 @@ class TestMaximizeFinite:
         catch-all element, is the global maximizer (Gibbs' inequality), so a
         converged solve must be certified there: within 1e-8 of the truth,
         and short of its likelihood by no more than the certified gap."""
-        cfg = scenario_config(name)
-        state = build_state(cfg["state"])
-        povm = build_detector(cfg["detector"], state)
-        quorum = build_quorum(cfg["quorum"], state.dim_tomo)
+        state, povm, quorum = oracle_pair(name)
         problem = exact_count_problem(state, povm, quorum, n_records)
         truth = np.concatenate([np.stack(povm.elements), np.zeros((1,) + povm[0].shape)])
         result = maximize(problem)
@@ -127,6 +138,16 @@ class TestMaximizeFinite:
         assert np.abs(problem.from_povm(result.povm_hat) - truth).max() <= 1e-8
         ll_truth = problem.evaluate(truth)[0]
         assert ll_truth - result.final_log_likelihood <= result.ll_gap
+
+    @pytest.mark.parametrize("name", ["qubit-oracle", "qutrit-oracle"])
+    def test_effects_match_partial_traces(self, name):
+        """The effects T_km of ``build_problem_finite`` are the partial traces
+        of explicit tensor products that the exact-count oracle builds."""
+        state, povm, quorum = oracle_pair(name)
+        data = sample_finite(state, povm, quorum, 10, seed=0)
+        effects = build_problem_finite(data, state, quorum).effects
+        oracle = exact_count_problem(state, povm, quorum, 1).effects
+        np.testing.assert_allclose(effects, oracle, rtol=0, atol=1e-15)
 
     def test_truth_is_fixed_point_on_expected_counts(self):
         problem, povm = expected_count_problem()

@@ -63,15 +63,15 @@ class TestSampleFinite:
         state = maximally_entangled(2)
         povm = random_povm(2, 3, seed=9)
         quorum = pauli_quorum()
-        tables = joint_probability_tables(state, povm, quorum)
+        tables = joint_probability_tables(state, povm, quorum)  # (n, k, m)
         n_records = 1_000_000
         data = sample_finite(state, povm, quorum, n_records, seed=2)
         counts = np.zeros_like(tables)
-        np.add.at(counts, (data.setting_k, data.outcome_n, data.result), 1.0)
-        per_setting = counts.sum(axis=(1, 2))
+        np.add.at(counts, (data.outcome_n, data.setting_k, data.result), 1.0)
+        per_setting = counts.sum(axis=(0, 2))
         for k in range(3):
-            empirical = counts[k] / per_setting[k]
-            expected = tables[k]
+            empirical = counts[:, k] / per_setting[k]
+            expected = tables[:, k]
             sigma = np.sqrt(expected * (1 - expected) / per_setting[k])
             check = expected * per_setting[k] >= 50
             assert np.all(np.abs(empirical - expected)[check] <= 5 * sigma[check])
@@ -81,7 +81,7 @@ class TestSampleFinite:
         povm = random_povm(2, 3, seed=9)
         quorum = pauli_quorum()
         tables = joint_probability_tables(state, povm, quorum)
-        p_n = tables.sum(axis=(0, 2)) / 3
+        p_n = tables.sum(axis=(1, 2)) / 3
         n_records = 200_000
         data = sample_finite(state, povm, quorum, n_records, seed=3)
         freq = data.counts_by_n / n_records
