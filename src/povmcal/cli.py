@@ -499,7 +499,8 @@ def _fit_ml(config, data, state, quorum_obj) -> _Fit:
     tensor drawn as one multinomial, or the diagonal rows reweighted by
     the drawn records' counts.  A finite repetition starts at the point
     estimate, since its Newton step can unpin entries held at 0; a diagonal
-    one starts cold from the uniform POVM.  Every repetition keeps the point
+    one starts cold from the uniform POVM, since its interior-point solve
+    needs a start away from the boundary.  Every repetition keeps the point
     estimate's outcome set (an outcome a resample misses solves to 0).
     ``ml_certified`` holds only if the point estimate and every repetition
     stopped on the likelihood-gap certificate.
@@ -512,7 +513,7 @@ def _fit_ml(config, data, state, quorum_obj) -> _Fit:
     else:
         problem = recon_ml.build_problem_finite(data, state, quorum_obj)
     result = recon_ml.maximize(problem)
-    # warm only with a Newton step: multiplicative updates cannot revive entries held at 0
+    # warm only the finite solve: the diagonal point estimate hugs the boundary
     init = result.povm_hat if hasattr(problem, "newton_direction") else None
     rep_converged: list[bool] = []
 
