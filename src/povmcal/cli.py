@@ -514,7 +514,7 @@ def _fit_ml(config, data, state, quorum_obj) -> _Fit:
         problem = recon_ml.build_problem_finite(data, state, quorum_obj)
     result = recon_ml.maximize(problem)
     # warm only the finite solve: the diagonal point estimate hugs the boundary
-    init = result.povm_hat if hasattr(problem, "newton_direction") else None
+    init = None if homodyne else result.povm_hat
     rep_converged: list[bool] = []
 
     def rerun(rng):

@@ -31,14 +31,16 @@ positive on the outcomes with records and complete.
 
 The finite problem takes multiplicative (EM) fixed-point steps, with a
 Lagrange operator enforcing completeness.  Multiplicative updates move
-slowly along near-zero eigen-directions, so each iteration first tries a
-projected Newton step (Bertsekas, SIAM J. Control Optim. 20, 221, 1982) in
-the real Hermitian coordinates of the elements.  Probabilities are linear
-in them, so the Hessian is exact and block-diagonal; eigen-directions
-pinned at zero by positivity are held out of the step, and completeness
-enters through one Lagrange solve (:func:`_lagrange_newton`), the one the
-interior-point step uses too.  The step leaves the fixed point, the
-certificate and the stopping rule unchanged.
+slowly along near-zero eigen-directions, so each iteration then tries a
+projected Newton step (Bertsekas, SIAM J. Control Optim. 20, 221, 1982)
+from the EM proposal, in the real Hermitian coordinates of the elements,
+and keeps the proposal when no Newton candidate beats it.  Probabilities
+are linear in the coordinates, so the Hessian is exact and
+block-diagonal; eigen-directions pinned at zero by positivity are held
+out of the step, and completeness enters through one Lagrange solve
+(:func:`_lagrange_newton`), the one the interior-point step uses too.  The
+step leaves the fixed point, the certificate and the stopping rule
+unchanged.
 """
 
 from __future__ import annotations
@@ -512,7 +514,6 @@ def maximize(
     init: Povm | None = None,
     max_iters: int = 20000,
     min_ll_increase: float = 1e-8,
-    accelerate: bool = True,
     gap_tol: float = LL_GAP_TOL,
 ) -> MlResult:
     """Likelihood ascent until the certified gap ``ll_gap`` is at most ``gap_tol``.
@@ -531,14 +532,12 @@ def maximize(
     be positive on those outcomes and 0 on the rest, which stay at exactly
     0.
 
-    A finite problem takes multiplicative (EM) steps.  With ``accelerate``
-    each iteration also tries faster candidates, each stabilized by one
-    more multiplicative update so constraints still hold exactly, and
-    takes one only when it beats the plain update, which preserves
-    likelihood monotonicity: first a projected Newton step on the active
-    face (:func:`_newton_point`), which certifies in a handful of
-    iterations, then a squared-extrapolation jump along the last two
-    fixed-point steps.  See :func:`_accelerated_step`.
+    A finite problem takes one step per iteration (:func:`_em_step`): the
+    multiplicative (EM) proposal, then a projected Newton candidate on the
+    active face built from it (:func:`_newton_point`), taken only when it
+    beats the proposal, so the trace stays monotone.  Both meet the
+    constraints exactly, and the Newton candidate certifies in a handful of
+    iterations.
     """
     diagonal = isinstance(problem, DiagonalMlProblem)
     if init is not None:
@@ -565,7 +564,7 @@ def maximize(
     if diagonal:
         step = _interior_point(problem, current, grad_current)
     else:
-        step = functools.partial(_em_step, problem, accelerate=accelerate)
+        step = functools.partial(_em_step, problem)
     iterations = 0
     while gap > gap_tol and iterations < max_iters:
         accepted = step(current, trace[-1], grad_current)
@@ -679,96 +678,36 @@ def _to_boundary(v: np.ndarray, dv: np.ndarray, fraction: float) -> float:
     return min(1.0, fraction * float((-v[shrinking] / dv[shrinking]).min()))
 
 
-def _em_step(problem, current, ll, grad, accelerate):
-    """The multiplicative update from ``current``, or with ``accelerate`` the
-    candidate of :func:`_accelerated_step` that beats it, as (point, ll, grad);
-    None when the update loses likelihood."""
+def _em_step(problem, current, ll, grad):
+    """One finite ascent step from ``current`` as (point, ll, grad), or None
+    when the multiplicative update loses likelihood.
+
+    The step takes the multiplicative (EM) proposal, then the Newton
+    candidate that :func:`_newton_point` builds from it when that beats the
+    proposal, else the proposal itself.
+    """
     proposal = problem.em_update(current, grad)
     ll_new, grad_new = problem.evaluate(proposal)
     if ll_new < ll - MONOTONE_SLACK:
         return None
-    if accelerate:
-        accelerated = _accelerated_step(problem, current, proposal, ll_new, grad_new)
-        if accelerated is not None:
-            return accelerated
+    newton = _newton_point(problem, proposal, ll_new, grad_new)
+    if newton is not None:
+        return newton
     return proposal, ll_new, grad_new
 
 
-def _accelerated_step(problem, point0, point1, ll1, grad1):
-    """A step that beats the fixed-point step ``point1`` from ``point0``.
+def _newton_point(problem, proposal, ll_proposal, grad_proposal):
+    """Newton candidate from the EM proposal ``proposal``.
 
-    The candidates are tried in order, and the first that beats ``point1``
-    is taken.  First the Newton candidate of :func:`_newton_point`.  Then the
-    squared-extrapolation jump: with r the first step, v the change between
-    the two fixed-point steps and the classical steplength
-    alpha = min(-|r|/|v|, -1), the jump point0 - 2 alpha r + alpha^2 v is
-    re-feasibilized and stabilized by one more multiplicative update, so
-    its output satisfies the constraints exactly.  Then, if the raw jump
-    left the constraint set, the same path at the longest steplength that
-    keeps the raw point feasible.  Last the second fixed-point step, which
-    only needs not to lose.  Returns (point, ll, grad), or None to keep
-    ``point1``.
-    """
-    newton = _newton_point(problem, point1, ll1, grad1)
-    if newton is not None:
-        return newton
-    point2 = problem.em_update(point1, grad1)
-    r = point1 - point0
-    v = (point2 - point1) - r
-    v_norm_sq = float(np.real(np.vdot(v, v)))
-    if v_norm_sq > 0.0:
-        alpha = min(-np.sqrt(float(np.real(np.vdot(r, r))) / v_norm_sq), -1.0)
-        raw = point0 - 2.0 * alpha * r + alpha**2 * v
-        jumped = problem.em_update(problem.project(raw))
-        ll_jump, grad_jump = problem.evaluate(jumped)
-        if ll_jump > ll1:
-            return jumped, ll_jump, grad_jump
-        if problem.constraint_violation(raw)[1] < 0.0:
-            edge = _feasible_steplength(problem, point0, r, v, alpha)
-            jumped = problem.em_update(point0 - 2.0 * edge * r + edge**2 * v)
-            ll_jump, grad_jump = problem.evaluate(jumped)
-            if ll_jump > ll1:
-                return jumped, ll_jump, grad_jump
-    ll2, grad2 = problem.evaluate(point2)
-    if ll2 >= ll1 - MONOTONE_SLACK:
-        return point2, ll2, grad2
-    return None
-
-
-def _newton_point(problem, point1, ll1, grad1):
-    """Newton candidate from the fixed-point step ``point1``.
-
-    Tries em_update(project(point1 + t delta)) for t in ``NEWTON_STEPS``,
+    Tries em_update(project(proposal + t delta)) for t in ``NEWTON_STEPS``,
     delta the problem's Newton direction, and returns the first that beats
-    ``point1`` as (point, ll, grad), or None.  Like the extrapolated jump,
-    each candidate is stabilized by a multiplicative update, so it meets
-    the constraints exactly.
+    ``proposal`` as (point, ll, grad), or None.  The multiplicative update
+    that ends each candidate puts it back on the constraint set exactly.
     """
-    direction = problem.newton_direction(point1, grad1)
+    direction = problem.newton_direction(proposal, grad_proposal)
     for t in NEWTON_STEPS:
-        candidate = problem.em_update(problem.project(point1 + t * direction))
+        candidate = problem.em_update(problem.project(proposal + t * direction))
         ll, grad = problem.evaluate(candidate)
-        if ll > ll1:
+        if ll > ll_proposal:
             return candidate, ll, grad
     return None
-
-
-def _feasible_steplength(problem, point0, r, v, alpha):
-    """Longest steplength in [alpha, -1] found by bisection at which the
-    extrapolation path point0 - 2 a r + a^2 v stays positive.
-
-    At a = -1 the path is the second fixed-point step, which is feasible;
-    completeness holds all along the path, so only positivity is tested,
-    and no likelihood is evaluated.  30 halvings resolve the steplength to
-    |alpha| / 2^30.
-    """
-    inside, outside = -1.0, alpha
-    for _ in range(30):
-        middle = 0.5 * (inside + outside)
-        point = point0 - 2.0 * middle * r + middle**2 * v
-        if problem.constraint_violation(point)[1] >= 0.0:
-            inside = middle
-        else:
-            outside = middle
-    return inside
-
