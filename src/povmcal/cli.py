@@ -574,10 +574,76 @@ _PLOT_HEADERS = {"m": "n", "value": "estimate", "value_re": "estimate_re", "valu
 
 
 def _write_json(path, payload) -> None:
-    """Write ``payload``, arrays as nested lists, in the JSON layout of every file of a run."""
+    """Write ``payload``, arrays as nested lists, in the JSON layout of every file of a run.
+
+    The bytes are those of ``json.dump(payload, fh, indent=2, sort_keys=True,
+    default=np.ndarray.tolist)`` and a newline.  ``json.dump`` lays out
+    indented text with its pure-Python encoder, one call per element;
+    :func:`_json_text` joins each list of floats in one pass instead.
+    """
+    text = _json_text(payload, "\n")
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
+        fh.write(text)
         fh.write("\n")
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` as JSON text in the layout of ``json.dump`` with indent 2 and
+    sorted keys; ``newline`` is the line break and indent of its own level.
+    Arrays are written as their nested lists; other types raise TypeError."""
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        separator = "," + inner
+        if set(map(type, value)) == {float}:
+            body = separator.join(map(float.__repr__, value))
+            if "n" in body:  # repr spells inf and nan, JSON Infinity and NaN
+                body = separator.join(map(_json_float, value))
+        else:
+            body = separator.join(_json_text(item, inner) for item in value)
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        members = (
+            json.encoder.encode_basestring_ascii(_json_key(key)) + ": " + _json_text(item, inner)
+            for key, item in sorted(value.items())
+        )
+        return "{" + inner + ("," + inner).join(members) + newline + "}"
+    return _json_text(np.ndarray.tolist(value), newline)
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == np.inf:
+        return "Infinity"
+    if value == -np.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json.dump`` converts it to a string."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _json_text(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _fmt(value) -> str:

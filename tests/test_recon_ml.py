@@ -18,8 +18,11 @@ from povmcal.recon_ml import (
     build_problem_diagonal,
     build_problem_finite,
     _barrier_newton,
+    _em_start,
     _face_block,
     _hermitian_basis,
+    _inv_equilibrated,
+    _pinv_symmetric,
     _newton_point,
     _outcome_rows,
     maximize,
@@ -343,6 +346,29 @@ class TestCertificate:
         result = maximize(build(), min_ll_increase=1e12)
         assert result.iterations == 1
         assert result.ll_gap > 0.1 and not result.converged
+
+
+def count_pseudo_inverse_fallbacks(monkeypatch) -> list:
+    """Record the shape of every stack that :func:`_inv_equilibrated` hands
+    to the pseudo-inverse because Cholesky rejected it."""
+    fallbacks = []
+
+    def counted(matrix):
+        fallbacks.append(matrix.shape)
+        return _pinv_symmetric(matrix)
+
+    monkeypatch.setattr(recon_ml, "_pinv_symmetric", counted)
+    return fallbacks
+
+
+def test_tight_diagonal_solve_reaches_the_pseudo_inverse_fallback(monkeypatch):
+    # the gap_tol=0 solve of TestCertificate runs until rounding leaves blocks
+    # that Cholesky rejects; their pseudo-inverse still yields ascent steps
+    fallbacks = count_pseudo_inverse_fallbacks(monkeypatch)
+    tight = maximize(small_diagonal_problem(), gap_tol=0.0, min_ll_increase=1e-12, max_iters=20000)
+    assert fallbacks
+    assert np.all(np.diff(tight.ll_trace) >= -MONOTONE_SLACK)
+    assert tight.ll_gap <= 1e-6
 
 
 def test_outcome_rows_match_label_lookup_with_gaps():
@@ -778,6 +804,27 @@ class TestInteriorPoint:
         assert warm.converged
         assert warm.ll_trace[0] == stopped.final_log_likelihood
 
+    @pytest.mark.parametrize("build", [problem_with_empty_outcome, small_diagonal_problem])
+    def test_cold_start_is_interior_and_complete(self, build):
+        problem = build()
+        start = _em_start(problem)
+        assert start[problem.live].min() > 0.0
+        assert np.all(start[~problem.live] == 0.0)
+        assert np.abs(start.sum(axis=0) - 1.0).max() <= 1e-15
+        assert not np.array_equal(start, problem.initial())
+        stopped = maximize(problem, max_iters=0)
+        np.testing.assert_array_equal(stopped.povm_hat.diagonal(), start)
+
+    def test_cold_start_keeps_a_column_with_a_zero_live_entry_uniform(self):
+        problem = small_diagonal_problem()
+        rows = problem.rows.copy()
+        rows[problem.row_outcome == 2, 3] = 0.0
+        zeroed = dataclasses.replace(problem, rows=rows)
+        start = _em_start(zeroed)
+        np.testing.assert_array_equal(start[:, 3], zeroed.initial()[:, 3])
+        assert not np.array_equal(start[:, 2], zeroed.initial()[:, 2])
+        assert maximize(zeroed).converged
+
     @pytest.mark.parametrize("where", ["zero_on_live", "weight_on_catch_all"])
     def test_init_off_the_interior_is_rejected(self, where):
         problem = small_diagonal_problem()
@@ -791,13 +838,41 @@ class TestInteriorPoint:
 
 
 @pytest.mark.parametrize("seed", [2024, 1, 3, 5])
-def test_fig4_solves_certify_in_few_iterations(seed):
-    """The point estimate and three bootstrap repetitions of fig4 data."""
+def test_fig4_solves_certify_in_few_iterations(seed, monkeypatch):
+    """The point estimate and three bootstrap repetitions of fig4 data, with
+    every block stack inverted by Cholesky."""
+    fallbacks = count_pseudo_inverse_fallbacks(monkeypatch)
     problem = fig4_problem(seed)
     draws = [problem.draw(np.random.default_rng([seed, 2, rep])) for rep in range(3)]
     for p in [problem] + draws:
         result = maximize(p)
         assert result.converged and result.iterations <= 25, (seed, result.iterations)
+        assert not fallbacks, (seed, fallbacks)
         assert np.all(np.diff(result.ll_trace) >= -MONOTONE_SLACK)
         assert result.completeness_deviation <= COMPLETENESS_TOL
         assert result.min_eigenvalue >= POSITIVITY_TOL
+
+
+def test_cholesky_inverse_matches_the_pseudo_inverse_on_fig4_blocks(monkeypatch):
+    """At the start point and mid-solve of a fig4 solve, the Cholesky inverse
+    of the Jacobi-scaled barrier blocks H_n + Z_n/Theta_n, and of their S,
+    equals the pseudo-inverse of the same scaled stack."""
+    points = []
+
+    def recorded(problem, theta, z):
+        points.append((theta, z))
+        return _barrier_newton(problem, theta, z)
+
+    monkeypatch.setattr(recon_ml, "_barrier_newton", recorded)
+    problem = fig4_problem(2024)
+    assert maximize(problem).converged
+    for theta, z in (points[0], points[len(points) // 2]):
+        blocks = problem.hessian(theta)[problem.live]
+        np.einsum("nii->ni", blocks)[...] += z / theta[problem.live]
+        inverse = _inv_equilibrated(blocks)
+        for stack in (blocks, inverse.sum(axis=0)):
+            scale = 1.0 / np.sqrt(np.einsum("...ii->...i", stack))
+            outer = scale[..., :, None] * scale[..., None, :]
+            reference = _pinv_symmetric(stack * outer) * outer
+            error = np.abs(_inv_equilibrated(stack) - reference).max(axis=(-2, -1))
+            assert np.all(error <= 1e-12 * np.abs(reference).max(axis=(-2, -1)))
