@@ -499,8 +499,9 @@ def _fit_ml(config, data, state, quorum_obj) -> _Fit:
     tensor drawn as one multinomial, or the diagonal rows reweighted by
     the drawn records' counts.  A finite repetition starts at the point
     estimate, since its Newton step can unpin entries held at 0; a diagonal
-    one starts cold from the uniform POVM, since its interior-point solve
-    needs a start away from the boundary.  Every repetition keeps the point
+    one starts cold from two multiplicative (EM) updates of the uniform
+    POVM (``recon_ml._em_start``), since its interior-point solve needs a
+    start away from the boundary.  Every repetition keeps the point
     estimate's outcome set (an outcome a resample misses solves to 0).
     ``ml_certified`` holds only if the point estimate and every repetition
     stopped on the likelihood-gap certificate.

@@ -26,13 +26,17 @@ column of theta in a simplex, is a mixture-proportions problem, for which
 interior-point Newton methods beat EM by orders of magnitude (Koenker &
 Mizera, JASA 109, 674, 2014; Kim et al., JCGS 29, 261, 2020).  It is solved
 by a primal-dual interior-point method with Mehrotra's predictor-corrector
-on the exact Hessian (:func:`_interior_point`), whose Newton blocks are
-positive definite and inverted by Cholesky; each iterate is strictly
-positive on the outcomes with records and complete.  A cold solve starts
-from two multiplicative (EM) updates of the uniform POVM
-(:func:`_em_start`); each costs one gradient sweep, a fraction of an
-interior-point iteration, and on fig4 data the two save about two
-iterations.
+(:func:`_interior_point`).  Its Newton matrix is the Hessian of the
+likelihood binned by (outcome, quadrature bin), each bin's records replaced
+by their mean row, which costs one product over the bins instead of the
+records; every likelihood, gradient and certificate is of the records
+themselves, so the binning moves only the path to the optimum, not the
+optimum.  The Newton blocks are positive definite and inverted by
+Cholesky; each iterate is strictly positive on the outcomes with records
+and complete.  A cold solve starts from two multiplicative (EM) updates of
+the uniform POVM (:func:`_em_start`); each costs one gradient sweep, a
+fraction of an interior-point iteration, and on fig4 data the two save
+about two iterations.
 
 The finite problem takes multiplicative (EM) fixed-point steps, with a
 Lagrange operator enforcing completeness.  Multiplicative updates move
@@ -79,8 +83,8 @@ MONOTONE_SLACK = 1e-12
 # out of the Newton step; the step lengths the Newton candidate tries
 PIN_EIGENVALUE = 1e-6
 NEWTON_STEPS = (1.0, 0.5, 0.25, 0.125)
-# records per chunk of the diagonal Hessian
-HESSIAN_CHUNK = 4096
+# width of the quadrature bins whose mean rows make the diagonal Newton matrix
+HESSIAN_BIN = 1.0 / 64.0
 # interior point: the multiplicative updates of a cold start; the start's
 # column sums of theta z, in units of the column's multiplier; the fraction
 # of the way to the boundary a step may go; the halvings of a primal step
@@ -97,15 +101,22 @@ class DiagonalMlProblem:
 
     Each row of ``rows`` is ``w_m q_m(x)`` for one record, so that a record
     with outcome n has probability row . theta[n], with
-    theta[n, m] = <m|P_n|m>.  Rows are sorted stably by outcome, so each
-    outcome's block is a contiguous view, and row i stands for
-    ``multiplicity[i]`` copies of dataset record ``record[i]``: once each
-    for a dataset, its draw count for a bootstrap resample.  ``n_records``
-    is the dataset's length, underflowed records included.
+    theta[n, m] = <m|P_n|m>.  Rows are sorted by outcome, then by
+    quadrature bin ``row_bin`` = round(x / ``HESSIAN_BIN``), then by record,
+    so each outcome's block and each of its bins is a contiguous view, and
+    row i stands for ``multiplicity[i]`` copies of dataset record
+    ``record[i]``: once each for a dataset, its draw count for a bootstrap
+    resample.  ``n_records`` is the dataset's length, underflowed records
+    included.
+
+    Each (outcome, bin) pair has a record count N_b and a count-weighted
+    mean row (:meth:`bins`); the Newton matrix is built from those, every
+    likelihood value and gradient from the rows themselves.
     """
 
-    rows: np.ndarray  # (R, M+1) nonnegative, grouped by outcome
+    rows: np.ndarray  # (R, M+1) nonnegative, grouped by outcome, then bin
     row_outcome: np.ndarray  # (R,) nondecreasing row of theta per row
+    row_bin: np.ndarray  # (R,) quadrature bin per row, nondecreasing per outcome
     outcomes: tuple[int, ...]  # outcome labels, catch-all last
     dim: int  # M+1
     multiplicity: np.ndarray  # (R,) records each row stands for
@@ -122,6 +133,31 @@ class DiagonalMlProblem:
         ]
         # outcomes with records; the rest, the catch-all among them, solve to 0
         self.live = np.diff(bounds) > 0
+
+    def bins(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per outcome, the count-weighted mean rows of its quadrature bins
+        and the square roots of their record counts, the data of
+        :meth:`hessian`.
+
+        Reduced one column at a time, so no weighted copy of the rows is
+        made.  An interior-point solve reduces them once and frees them when
+        it returns: kept on the problem, they sat beside every bootstrap
+        resample and raised fig4-ml's peak RSS in the benchmark from about
+        92 MB to 95 MB, or 107 MB in about two runs in five (2 vCPUs).
+        """
+        edge = np.ones(self.row_outcome.size, dtype=bool)
+        edge[1:] = self.row_outcome[1:] != self.row_outcome[:-1]
+        edge[1:] |= self.row_bin[1:] != self.row_bin[:-1]
+        starts = np.flatnonzero(edge)
+        counts = np.add.reduceat(self.multiplicity, starts)
+        means = np.empty((starts.size, self.dim))
+        for m in range(self.dim):
+            means[:, m] = np.add.reduceat(self.rows[:, m] * self.multiplicity, starts)
+        means /= counts[:, None]
+        bounds = np.searchsorted(self.row_outcome[starts], np.arange(self.n_outcomes + 1))
+        return [
+            (means[lo:hi], np.sqrt(counts[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
 
     @property
     def responses(self) -> np.ndarray:
@@ -145,6 +181,7 @@ class DiagonalMlProblem:
         return DiagonalMlProblem(
             self.rows[drawn],
             self.row_outcome[drawn],
+            self.row_bin[drawn],
             self.outcomes,
             self.dim,
             multiplicity[drawn],
@@ -192,21 +229,23 @@ class DiagonalMlProblem:
         lagrange = (theta * grad).sum(axis=0)
         return float(np.clip(grad - lagrange, 0.0, None).sum())
 
-    def hessian(self, theta: np.ndarray) -> np.ndarray:
-        """(n, M+1, M+1) blocks H_n = sum_i w_i r_i r_i^T / (r_i . theta[n])^2
-        of the negative Hessian, each summed over fixed row chunks as s^T s
-        with s = r sqrt(w) / d.  Every chunk's s is written into one
-        (``HESSIAN_CHUNK``, M+1) buffer, so no array the size of the rows is
-        made and no chunk allocates its own."""
+    def hessian(self, theta: np.ndarray, bins: list) -> np.ndarray:
+        """(n, M+1, M+1) blocks H_n = sum_b N_b rbar_b rbar_b^T / (rbar_b . theta[n])^2
+        of the negative Hessian of the binned likelihood, over outcome n's
+        quadrature bins b with record counts N_b and mean rows rbar_b, given
+        as ``bins`` = :meth:`bins`, each block one product s^T s with
+        s = rbar sqrt(N) / d.
+
+        A bin's records differ from its mean row by O(``HESSIAN_BIN``), and
+        those first-order terms cancel in the sum, so on fig4 data the blocks
+        differ from the row Hessian sum_i w_i r_i r_i^T / (r_i . theta[n])^2
+        by about 6e-4 in the Jacobi-scaled metric.  It is only the Newton
+        matrix: every likelihood, gradient and certificate is of the rows."""
         hessian = np.zeros((self.n_outcomes, self.dim, self.dim))
-        buffer = np.empty((HESSIAN_CHUNK, self.dim))
-        for r, (block, w) in enumerate(self._blocks):
-            for lo in range(0, block.shape[0], HESSIAN_CHUNK):
-                rows = block[lo : lo + HESSIAN_CHUNK]
-                denom = np.maximum(rows @ theta[r], LOG_FLOOR)
-                factor = np.sqrt(w[lo : lo + HESSIAN_CHUNK]) / denom
-                scaled = np.multiply(rows, factor[:, None], out=buffer[: len(rows)])
-                hessian[r] += scaled.T @ scaled
+        for r, (means, root_count) in enumerate(bins):
+            denom = np.maximum(means @ theta[r], LOG_FLOOR)
+            scaled = means * (root_count / denom)[:, None]
+            hessian[r] = scaled.T @ scaled
         return hessian
 
     def constraint_violation(self, theta: np.ndarray) -> tuple[float, float]:
@@ -433,17 +472,14 @@ def _hermitian_basis(dim: int) -> np.ndarray:
     return np.stack(basis)
 
 
-def _outcome_rows(
-    outcome_n: np.ndarray,
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """Observed outcome labels plus one catch-all label above them, the row
-    of each record's outcome among those labels, and the records sorted
-    stably by row."""
+def _outcome_rows(outcome_n: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """Observed outcome labels plus one catch-all label above them, and the
+    row of each record's outcome among those labels."""
     observed, order, bounds = group_by_label(outcome_n)
     outcomes = tuple(int(n) for n in observed) + (int(observed[-1]) + 1,)
     rows = np.empty(outcome_n.size, dtype=np.intp)
     rows[order] = np.repeat(np.arange(observed.size), np.diff(bounds))
-    return outcomes, rows, order
+    return outcomes, rows
 
 
 def build_problem_diagonal(
@@ -484,13 +520,17 @@ def build_problem_diagonal(
     if not np.isfinite(responses).all() or responses.min() < 0.0:
         raise NumericalValidityError("response rows must be finite and nonnegative")
 
-    outcomes, rows, order = _outcome_rows(data.outcome_n)
+    outcomes, rows = _outcome_rows(data.outcome_n)
+    # records by outcome, then quadrature bin, then index
+    bins = np.rint(data.result / HESSIAN_BIN).astype(np.intp)
+    order = np.lexsort((bins, rows))
     # records whose response underflowed to zero everywhere carry no
     # information about theta; keeping them would destabilize the updates
     record = order[(responses.sum(axis=0) > 0.0)[order]]
     return DiagonalMlProblem(
         responses.T[record],
         rows[record],
+        bins[record],
         outcomes,
         fock_cutoff + 1,
         np.ones(record.size),
@@ -516,7 +556,7 @@ def build_problem_finite(
         # T_km[a, b] = <m| Tr_1-dual |...>: contraction over tomographer indices
         effects[k] = np.einsum("mp,apbq,mq->mab", v.conj(), rho4, v)
 
-    outcomes, rows, _ = _outcome_rows(data.outcome_n)
+    outcomes, rows = _outcome_rows(data.outcome_n)
     counts = data.cell_counts((len(outcomes), quorum.n_settings, dt), rows)
     return FiniteMlProblem(effects, counts.astype(float), outcomes, ds)
 
@@ -550,8 +590,10 @@ def maximize(
     certificate holds.
 
     A number-diagonal problem is solved by a primal-dual interior-point
-    Newton method (:func:`_interior_point`), whose accepted steps do not
-    lose likelihood; on fig4 data it certifies in 10-12 iterations.  It
+    Newton method (:func:`_interior_point`) on the Newton matrix of
+    quadrature-bin mean rows (:meth:`DiagonalMlProblem.hessian`), whose
+    accepted steps do not lose exact likelihood; on fig4 data it certifies
+    in 10-12 iterations, as many as on the row Hessian.  It
     starts at ``init``, which must be positive on the outcomes with records
     and 0 on the rest, or else at two multiplicative (EM) updates of the
     uniform POVM on the outcomes with records (:func:`_em_start`).  The
@@ -643,11 +685,16 @@ def _interior_point(problem: DiagonalMlProblem, theta: np.ndarray, grad: np.ndar
     sum_n theta[n, m] = 1 and theta >= 0, over the outcomes with records.
     With z the multipliers of positivity and nu those of completeness,
     Newton's method on the perturbed KKT conditions grad - nu + z = 0,
-    theta z = t has one block H_n + Z_n / Theta_n per outcome (H_n from
-    ``problem.hessian``), so the step is M_n (b_n - dnu) of
+    theta z = t has one block H_n + Z_n / Theta_n per outcome, so the step
+    is M_n (b_n - dnu) of
     :func:`_lagrange_newton`, with b_n = grad_n - nu + (t_n - c_n) / theta_n.
     These blocks, and S, are positive definite, so M_n and S^-1 are their
-    Cholesky inverses (:func:`_inv_equilibrated`).
+    Cholesky inverses (:func:`_inv_equilibrated`).  H_n is
+    ``problem.hessian`` over the bins that ``problem.bins`` reduces once per
+    solve, the Hessian of the likelihood binned by quadrature bin, so the
+    step is an inexact Newton step of the exact problem; the
+    residual b_n is of the exact gradient, and so is the likelihood check
+    on each primal candidate.
 
     The barrier is weighted per column by the start's multipliers c_m = nu_m,
     which count the records that level m explains: the targets are
@@ -670,6 +717,7 @@ def _interior_point(problem: DiagonalMlProblem, theta: np.ndarray, grad: np.ndar
     Returns ``step(theta, ll, grad) -> (theta, ll, grad)`` or None.
     """
     live = problem.live
+    bins = problem.bins()
     x = theta[live]
     nu = (x * grad[live]).sum(axis=0)
     # a column no record responds to gets the mean weight
@@ -679,7 +727,7 @@ def _interior_point(problem: DiagonalMlProblem, theta: np.ndarray, grad: np.ndar
     def step(theta, ll, grad):
         nonlocal z, nu
         x, g = theta[live], grad[live]
-        solve = _barrier_newton(problem, theta, z)
+        solve = _barrier_newton(problem, theta, z, bins)
         mu = (x * z / weight).mean()
         _, dx_affine = solve(g - nu)
         dz_affine = -z - z / x * dx_affine
@@ -706,11 +754,12 @@ def _interior_point(problem: DiagonalMlProblem, theta: np.ndarray, grad: np.ndar
     return step
 
 
-def _barrier_newton(problem: DiagonalMlProblem, theta: np.ndarray, z: np.ndarray):
+def _barrier_newton(problem: DiagonalMlProblem, theta: np.ndarray, z: np.ndarray, bins: list):
     """:func:`_lagrange_newton` of the blocks H_n + Z_n / Theta_n of the
-    outcomes with records, at ``theta`` and positivity multipliers ``z``."""
+    outcomes with records, at ``theta`` and positivity multipliers ``z``,
+    with H_n from the problem's ``bins``."""
     x = theta[problem.live]
-    hessian = problem.hessian(theta)[problem.live]
+    hessian = problem.hessian(theta, bins)[problem.live]
     diagonal = np.einsum("nii->ni", hessian)
     diagonal += z / x
     return _lagrange_newton(hessian, _inv_equilibrated)

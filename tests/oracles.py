@@ -13,9 +13,11 @@ The next section keeps former implementations of code that was rewritten
 to use less memory: one boolean mask per label instead of grouped records,
 and full-size temporaries instead of in-place updates.  The rewrites do the
 same floating-point operations in the same order, so tests require them to
-match these bit for bit.  The one exception is the finite Newton direction,
+match these bit for bit.  The exceptions are the finite Newton direction,
 whose Hessian and pseudo-inverses now come from other BLAS and LAPACK
-calls; tests hold it to 1e-12 relative.
+calls, which tests hold to 1e-12 relative, and the diagonal row Hessian,
+replaced in the interior-point solve by one over quadrature-bin mean rows
+and held by tests to 2e-3 in the Jacobi-scaled metric.
 
 The next section keeps the file writers that the library modules had
 before the runner took over every write; tests require the runner's files
@@ -471,7 +473,9 @@ def former_smeared_fock_pdf_table(max_m, eta_h, xs):
 
 def former_diagonal_rows(data, weights, eta_h):
     """(outcomes, rows, row_outcome, record) of ``build_problem_diagonal``:
-    responses kept as a full-size product, outcomes ranked by ``np.unique``."""
+    responses kept as a full-size product, outcomes ranked by ``np.unique``,
+    and records ordered by outcome, then by quadrature bin round(64 x), then
+    by index."""
     fock_cutoff = weights.size - 1
     q = former_smeared_fock_pdf_table(fock_cutoff, eta_h, data.result)
     responses = (q * weights[:, None]).T
@@ -479,8 +483,27 @@ def former_diagonal_rows(data, weights, eta_h):
     observed = np.unique(data.outcome_n)
     outcomes = tuple(int(n) for n in observed) + (int(observed.max()) + 1,)
     rows = np.searchsorted(observed, data.outcome_n)
-    record = record[np.argsort(rows[record], kind="stable")]
+    bins = np.round(data.result * 64.0)
+    record = sorted(record, key=lambda i: (rows[i], bins[i], i))
+    record = np.array(record, dtype=np.intp)
     return outcomes, np.ascontiguousarray(responses[record]), rows[record], record
+
+
+def row_hessian(problem, theta, chunk=4096):
+    """(n, M+1, M+1) blocks sum_i w_i r_i r_i^T / (r_i . theta[n])^2 of the
+    negative Hessian of a diagonal problem's exact likelihood, over its rows,
+    summed over fixed row chunks as s^T s with s = r sqrt(w) / d: the Newton
+    matrix the interior-point solve used before it took bin mean rows."""
+    hessian = np.zeros((problem.n_outcomes, problem.dim, problem.dim))
+    for r in range(problem.n_outcomes):
+        mine = problem.row_outcome == r
+        block, w = problem.rows[mine], problem.multiplicity[mine]
+        for lo in range(0, block.shape[0], chunk):
+            rows = block[lo : lo + chunk]
+            denom = np.maximum(rows @ theta[r], 1e-300)
+            scaled = rows * (np.sqrt(w[lo : lo + chunk]) / denom)[:, None]
+            hessian[r] += scaled.T @ scaled
+    return hessian
 
 
 # --- former file writers ------------------------------------------------------
