@@ -496,8 +496,8 @@ def _fit_ml(config, data, state, quorum_obj) -> _Fit:
     """Constrained maximum likelihood with bootstrap error bars.
 
     Each repetition solves the point problem's ``draw``: the finite count
-    tensor drawn as one multinomial, or the diagonal rows reweighted by
-    the drawn records' counts.  A finite repetition starts at the point
+    tensor drawn as one multinomial, or the diagonal response table's
+    records reweighted by their draw counts.  A finite repetition starts at the point
     estimate, since its Newton step can unpin entries held at 0; a diagonal
     one starts cold from two multiplicative (EM) updates of the uniform
     POVM (``recon_ml._em_start``), since its interior-point solve needs a
@@ -555,11 +555,13 @@ def _fit_ml(config, data, state, quorum_obj) -> _Fit:
             "uncertified_repetitions": uncertified,
         },
     }
-    ml_result = {
-        **solve,
-        "ll_trace": result.ll_trace,
-        "povm": [{"real": np.real(p), "imag": np.imag(p)} for p in result.povm_hat.elements],
-    }
+    ml_result = {**solve, "ll_trace": result.ll_trace}
+    if homodyne:  # only the diagonal of a number-diagonal POVM can be nonzero
+        ml_result["povm_diagonal"] = values
+    else:
+        ml_result["povm"] = [
+            {"real": np.real(p), "imag": np.imag(p)} for p in result.povm_hat.elements
+        ]
     return _Fit(problem.outcomes, values, boot.stdev, problem.outcomes[-1], checks, report, ml_result)
 
 
@@ -575,76 +577,10 @@ _PLOT_HEADERS = {"m": "n", "value": "estimate", "value_re": "estimate_re", "valu
 
 
 def _write_json(path, payload) -> None:
-    """Write ``payload``, arrays as nested lists, in the JSON layout of every file of a run.
-
-    The bytes are those of ``json.dump(payload, fh, indent=2, sort_keys=True,
-    default=np.ndarray.tolist)`` and a newline.  ``json.dump`` lays out
-    indented text with its pure-Python encoder, one call per element;
-    :func:`_json_text` joins each list of floats in one pass instead.
-    """
-    text = _json_text(payload, "\n")
+    """Write ``payload``, arrays as nested lists, in the JSON layout of every file of a run."""
     with open(path, "w") as fh:
-        fh.write(text)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
         fh.write("\n")
-
-
-def _json_text(value, newline: str) -> str:
-    """``value`` as JSON text in the layout of ``json.dump`` with indent 2 and
-    sorted keys; ``newline`` is the line break and indent of its own level.
-    Arrays are written as their nested lists; other types raise TypeError."""
-    if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        separator = "," + inner
-        if set(map(type, value)) == {float}:
-            body = separator.join(map(float.__repr__, value))
-            if "n" in body:  # repr spells inf and nan, JSON Infinity and NaN
-                body = separator.join(map(_json_float, value))
-        else:
-            body = separator.join(_json_text(item, inner) for item in value)
-        return "[" + inner + body + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        members = (
-            json.encoder.encode_basestring_ascii(_json_key(key)) + ": " + _json_text(item, inner)
-            for key, item in sorted(value.items())
-        )
-        return "{" + inner + ("," + inner).join(members) + newline + "}"
-    return _json_text(np.ndarray.tolist(value), newline)
-
-
-def _json_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == np.inf:
-        return "Infinity"
-    if value == -np.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _json_key(key) -> str:
-    """A dict key as ``json.dump`` converts it to a string."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _json_text(key, "")
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _fmt(value) -> str:

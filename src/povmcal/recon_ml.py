@@ -99,36 +99,40 @@ STEP_HALVINGS = 30
 class DiagonalMlProblem:
     """Likelihood data for the number-diagonal scenario.
 
-    Each row of ``rows`` is ``w_m q_m(x)`` for one record, so that a record
-    with outcome n has probability row . theta[n], with
-    theta[n, m] = <m|P_n|m>.  Rows are sorted by outcome, then by
-    quadrature bin ``row_bin`` = round(x / ``HESSIAN_BIN``), then by record,
-    so each outcome's block and each of its bins is a contiguous view, and
-    row i stands for ``multiplicity[i]`` copies of dataset record
-    ``record[i]``: once each for a dataset, its draw count for a bootstrap
-    resample.  ``n_records`` is the dataset's length, underflowed records
-    included.
+    The response table ``columns`` holds one column ``w_m q_m(x)`` per
+    record, so that a record with outcome n has probability
+    column . theta[n], with theta[n, m] = <m|P_n|m>.  Columns are sorted
+    by outcome, then by quadrature bin ``row_bin`` = round(x / ``HESSIAN_BIN``),
+    then by record, so each outcome's block and each of its bins is a
+    contiguous range of columns, and column i stands for
+    ``multiplicity[i]`` copies of dataset record ``record[i]``: once each
+    for a dataset, its draw count for a bootstrap resample.  ``n_records``
+    is the dataset's length, underflowed records included.
 
-    Each (outcome, bin) pair has a record count N_b and a count-weighted
-    mean row (:meth:`bins`); the Newton matrix is built from those, every
-    likelihood value and gradient from the rows themselves.
+    The table is C-contiguous, so one level's responses over all records,
+    ``columns[m]``, are one contiguous run: the per-level reductions of
+    :meth:`bins` read it in order, and the sweep's two products per
+    outcome read the block row by row.  Each (outcome, bin) pair has a
+    record count N_b and a count-weighted mean row (:meth:`bins`); the
+    Newton matrix is built from those, every likelihood value and gradient
+    from the columns themselves.
     """
 
-    rows: np.ndarray  # (R, M+1) nonnegative, grouped by outcome, then bin
-    row_outcome: np.ndarray  # (R,) nondecreasing row of theta per row
-    row_bin: np.ndarray  # (R,) quadrature bin per row, nondecreasing per outcome
+    columns: np.ndarray  # (M+1, R) nonnegative, grouped by outcome, then bin
+    row_outcome: np.ndarray  # (R,) nondecreasing row of theta per column
+    row_bin: np.ndarray  # (R,) quadrature bin per column, nondecreasing per outcome
     outcomes: tuple[int, ...]  # outcome labels, catch-all last
     dim: int  # M+1
-    multiplicity: np.ndarray  # (R,) records each row stands for
-    record: np.ndarray  # (R,) dataset index of each row's record
+    multiplicity: np.ndarray  # (R,) records each column stands for
+    record: np.ndarray  # (R,) dataset index of each column's record
     n_records: int  # N, the records a bootstrap repetition draws
 
     def __post_init__(self):
-        # per-outcome contiguous (rows, multiplicity) views: the sweep reduces
-        # to two BLAS-2 products per outcome with no per-iteration copies
+        # per-outcome (columns, multiplicity) views: the sweep reduces to two
+        # BLAS-2 products per outcome with no per-iteration copies
         bounds = np.searchsorted(self.row_outcome, np.arange(len(self.outcomes) + 1))
         self._blocks = [
-            (self.rows[lo:hi], self.multiplicity[lo:hi])
+            (self.columns[:, lo:hi], self.multiplicity[lo:hi])
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         # outcomes with records; the rest, the catch-all among them, solve to 0
@@ -139,11 +143,9 @@ class DiagonalMlProblem:
         and the square roots of their record counts, the data of
         :meth:`hessian`.
 
-        Reduced one column at a time, so no weighted copy of the rows is
-        made.  An interior-point solve reduces them once and frees them when
-        it returns: kept on the problem, they sat beside every bootstrap
-        resample and raised fig4-ml's peak RSS in the benchmark from about
-        92 MB to 95 MB, or 107 MB in about two runs in five (2 vCPUs).
+        Reduced one level at a time over the contiguous ``columns[m]``, so
+        no weighted copy of the table is made.  An interior-point solve
+        reduces them once and frees them when it returns.
         """
         edge = np.ones(self.row_outcome.size, dtype=bool)
         edge[1:] = self.row_outcome[1:] != self.row_outcome[:-1]
@@ -152,7 +154,7 @@ class DiagonalMlProblem:
         counts = np.add.reduceat(self.multiplicity, starts)
         means = np.empty((starts.size, self.dim))
         for m in range(self.dim):
-            means[:, m] = np.add.reduceat(self.rows[:, m] * self.multiplicity, starts)
+            means[:, m] = np.add.reduceat(self.columns[m] * self.multiplicity, starts)
         means /= counts[:, None]
         bounds = np.searchsorted(self.row_outcome[starts], np.arange(self.n_outcomes + 1))
         return [
@@ -161,10 +163,11 @@ class DiagonalMlProblem:
 
     @property
     def responses(self) -> np.ndarray:
-        """(N, M+1) response row of every record, grouped by outcome."""
+        """(N, M+1) response row of every record, grouped by outcome: the
+        transpose of the table, repeated by multiplicity."""
         if (self.multiplicity == 1.0).all():
-            return self.rows
-        return np.repeat(self.rows, self.multiplicity.astype(np.intp), axis=0)
+            return self.columns.T
+        return np.repeat(self.columns, self.multiplicity.astype(np.intp), axis=1).T
 
     @property
     def outcome_index(self) -> np.ndarray:
@@ -173,13 +176,13 @@ class DiagonalMlProblem:
 
     def resample(self, indices: np.ndarray) -> "DiagonalMlProblem":
         """Problem of the bootstrap resample that draws the dataset records
-        ``indices``: rows never drawn are dropped, the rest carry their draw
-        counts, and the outcome set stays."""
+        ``indices``: columns never drawn are dropped, the rest carry their
+        draw counts, and the outcome set stays."""
         draws = np.bincount(indices, minlength=int(self.record.max()) + 1)
         multiplicity = draws[self.record].astype(float)
         drawn = np.flatnonzero(multiplicity)
         return DiagonalMlProblem(
-            self.rows[drawn],
+            np.take(self.columns, drawn, axis=1),
             self.row_outcome[drawn],
             self.row_bin[drawn],
             self.outcomes,
@@ -205,15 +208,18 @@ class DiagonalMlProblem:
         return theta
 
     def _sweep(self, theta: np.ndarray, with_ll: bool) -> tuple[float, np.ndarray]:
+        """Per outcome, the probabilities theta[r] @ block of its columns,
+        then the gradient block @ (w / d), two matrix-vector products over
+        the (M+1, R_r) view of the table."""
         ll = 0.0
         grad = np.zeros_like(theta)
         for r, (block, w) in enumerate(self._blocks):
-            if block.shape[0] == 0:
+            if block.shape[1] == 0:
                 continue
-            denom = np.maximum(block @ theta[r], LOG_FLOOR)
+            denom = np.maximum(theta[r] @ block, LOG_FLOOR)
             if with_ll:
                 ll += float((w * np.log(denom)).sum())
-            grad[r] = block.T @ (w / denom)
+            grad[r] = block @ (w / denom)
         return ll, grad
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -238,9 +244,9 @@ class DiagonalMlProblem:
 
         A bin's records differ from its mean row by O(``HESSIAN_BIN``), and
         those first-order terms cancel in the sum, so on fig4 data the blocks
-        differ from the row Hessian sum_i w_i r_i r_i^T / (r_i . theta[n])^2
+        differ from the record Hessian sum_i w_i r_i r_i^T / (r_i . theta[n])^2
         by about 6e-4 in the Jacobi-scaled metric.  It is only the Newton
-        matrix: every likelihood, gradient and certificate is of the rows."""
+        matrix: every likelihood, gradient and certificate is of the records."""
         hessian = np.zeros((self.n_outcomes, self.dim, self.dim))
         for r, (means, root_count) in enumerate(bins):
             denom = np.maximum(means @ theta[r], LOG_FLOOR)
@@ -489,7 +495,7 @@ def build_problem_diagonal(
     fock_cutoff: int | None = None,
     weight_tail_tol: float = 1e-4,
 ) -> DiagonalMlProblem:
-    """Precompute response rows w_m q_m(x_i) for the diagonal likelihood.
+    """Precompute the response table w_m q_m(x_i) for the diagonal likelihood.
 
     ``fock_cutoff`` bounds the reconstruction space and may not exceed the
     state's own cutoff; the pair-weight tail above it must stay below
@@ -528,7 +534,7 @@ def build_problem_diagonal(
     # information about theta; keeping them would destabilize the updates
     record = order[(responses.sum(axis=0) > 0.0)[order]]
     return DiagonalMlProblem(
-        responses.T[record],
+        np.take(responses, record, axis=1),
         rows[record],
         bins[record],
         outcomes,
@@ -589,15 +595,22 @@ def maximize(
     ``max_iters`` iterations; ``converged`` is true only when the
     certificate holds.
 
+    The result is the iterate with the smallest certified gap, the latest
+    of equals: near the optimum rounding can make the gap of a later
+    iterate larger, and the bound of an earlier one still holds.  A solve
+    that certifies stops at the first iterate within ``gap_tol``, so it
+    returns its last.  ``ll_trace`` is the whole trace and ``iterations``
+    counts every step taken; ``final_log_likelihood``, ``ll_gap`` and the
+    POVM are those of the returned iterate.
+
     A number-diagonal problem is solved by a primal-dual interior-point
     Newton method (:func:`_interior_point`) on the Newton matrix of
     quadrature-bin mean rows (:meth:`DiagonalMlProblem.hessian`), whose
-    accepted steps do not lose exact likelihood; on fig4 data it certifies
-    in 10-12 iterations, as many as on the row Hessian.  It
-    starts at ``init``, which must be positive on the outcomes with records
-    and 0 on the rest, or else at two multiplicative (EM) updates of the
-    uniform POVM on the outcomes with records (:func:`_em_start`).  The
-    outcomes without records stay at exactly 0.
+    accepted steps do not lose exact likelihood.  It starts at ``init``,
+    which must be positive on the outcomes with records and 0 on the rest,
+    or else at two multiplicative (EM) updates of the uniform POVM on the
+    outcomes with records (:func:`_em_start`).  The outcomes without
+    records stay at exactly 0.
 
     A finite problem takes one step per iteration (:func:`_em_step`): the
     multiplicative (EM) proposal, then a projected Newton candidate on the
@@ -634,6 +647,7 @@ def maximize(
         step = _interior_point(problem, current, grad_current)
     else:
         step = functools.partial(_em_step, problem)
+    best = (gap, current, ll_current)
     iterations = 0
     while gap > gap_tol and iterations < max_iters:
         accepted = step(current, trace[-1], grad_current)
@@ -644,13 +658,16 @@ def maximize(
         increase = ll_new - trace[-1]
         trace.append(ll_new)
         gap = problem.ll_gap(current, grad_current)
+        if gap <= best[0]:
+            best = (gap, current, ll_new)
         if increase < min_ll_increase:
             break
 
+    gap, current, ll_best = best
     completeness, min_eig = problem.constraint_violation(current)
     return MlResult(
         povm_hat=problem.to_povm(current),
-        final_log_likelihood=trace[-1],
+        final_log_likelihood=ll_best,
         iterations=iterations,
         converged=gap <= gap_tol,
         ll_gap=gap,

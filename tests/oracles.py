@@ -489,6 +489,23 @@ def former_diagonal_rows(data, weights, eta_h):
     return outcomes, np.ascontiguousarray(responses[record]), rows[record], record
 
 
+def former_bins(problem):
+    """``DiagonalMlProblem.bins`` as it reduced the row-major (R, M+1) table:
+    one strided column ``rows[:, m]`` at a time, weighted by multiplicity."""
+    rows = np.ascontiguousarray(problem.columns.T)
+    edge = np.ones(problem.row_outcome.size, dtype=bool)
+    edge[1:] = problem.row_outcome[1:] != problem.row_outcome[:-1]
+    edge[1:] |= problem.row_bin[1:] != problem.row_bin[:-1]
+    starts = np.flatnonzero(edge)
+    counts = np.add.reduceat(problem.multiplicity, starts)
+    means = np.empty((starts.size, problem.dim))
+    for m in range(problem.dim):
+        means[:, m] = np.add.reduceat(rows[:, m] * problem.multiplicity, starts)
+    means /= counts[:, None]
+    bounds = np.searchsorted(problem.row_outcome[starts], np.arange(problem.n_outcomes + 1))
+    return [(means[lo:hi], np.sqrt(counts[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def row_hessian(problem, theta, chunk=4096):
     """(n, M+1, M+1) blocks sum_i w_i r_i r_i^T / (r_i . theta[n])^2 of the
     negative Hessian of a diagonal problem's exact likelihood, over its rows,
@@ -497,7 +514,7 @@ def row_hessian(problem, theta, chunk=4096):
     hessian = np.zeros((problem.n_outcomes, problem.dim, problem.dim))
     for r in range(problem.n_outcomes):
         mine = problem.row_outcome == r
-        block, w = problem.rows[mine], problem.multiplicity[mine]
+        block, w = problem.columns[:, mine].T, problem.multiplicity[mine]
         for lo in range(0, block.shape[0], chunk):
             rows = block[lo : lo + chunk]
             denom = np.maximum(rows @ theta[r], 1e-300)
@@ -539,8 +556,10 @@ def former_export_sidecar(dataset, path, parameters=None):
         fh.write("\n")
 
 
-def former_export_json(result, path):
-    """``ml_result.json`` as ``recon_ml.MlResult.export_json`` wrote it."""
+def former_export_json(result, path, diagonal=False):
+    """``ml_result.json`` as ``recon_ml.MlResult.export_json`` wrote it, with
+    a number-diagonal fit's POVM as its (n, M+1) diagonal under
+    ``povm_diagonal`` in place of the full matrices under ``povm``."""
     payload = {
         "final_log_likelihood": result.final_log_likelihood,
         "iterations": result.iterations,
@@ -549,11 +568,14 @@ def former_export_json(result, path):
         "ll_trace": result.ll_trace.tolist(),
         "completeness_deviation": result.completeness_deviation,
         "min_eigenvalue": result.min_eigenvalue,
-        "povm": [
+    }
+    if diagonal:
+        payload["povm_diagonal"] = result.povm_hat.diagonal().tolist()
+    else:
+        payload["povm"] = [
             {"real": np.real(p).tolist(), "imag": np.imag(p).tolist()}
             for p in result.povm_hat.elements
-        ],
-    }
+        ]
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -7,9 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import povmcal
 from povmcal import cli, recon_ml, sampler
@@ -266,9 +263,30 @@ class TestRun:
         former.mkdir()
         former_export_csv(data, former / "dataset.csv")
         former_export_sidecar(data, former / "dataset.json", {"scenario": cfg["name"]})
-        former_export_json(recon_ml.maximize(problem), former / "ml_result.json")
+        former_export_json(
+            recon_ml.maximize(problem), former / "ml_result.json", diagonal=scenario == "fig4"
+        )
         for name in ("dataset.csv", "dataset.json", "ml_result.json"):
             assert (tmp_path / "run" / name).read_bytes() == (former / name).read_bytes(), name
+
+    def test_diagonal_fit_writes_the_report_values_as_its_povm(self, tmp_path):
+        # only the diagonal of a number-diagonal POVM can be nonzero, so
+        # ml_result.json holds that diagonal, and it is the report's ML values
+        cfg = scenario_config("fig4")
+        cfg.update(n_records=5000, bootstrap_reps=2)
+        cfg["state"].update(xi=0.6, fock_cutoff=20)
+        cfg["ml"]["fock_cutoff"] = 14
+        run(ScenarioConfig.from_dict(cfg), tmp_path)
+        result = json.loads((tmp_path / "ml_result.json").read_text())
+        ml = json.loads((tmp_path / "report.json").read_text())["reconstructions"]["ml"]
+        assert "povm" not in result
+        diagonal = result["povm_diagonal"]
+        assert len(diagonal) == len(ml["outcomes"])
+        assert {len(row) for row in diagonal} == {15}
+        row_of = {n: r for r, n in enumerate(ml["outcomes"])}
+        assert len(ml["entries"]) > 20
+        for entry in ml["entries"]:
+            assert diagonal[row_of[entry["n"]]][entry["m"]] == entry["value"]
 
     @pytest.mark.properties
     @pytest.mark.parametrize(
@@ -445,51 +463,6 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "fig2" / "report.json").exists()
     assert (tmp_path / "qubit" / "report.json").exists()
-
-
-# JSON payloads as the run's writers see them: scalars of every kind the
-# encoder takes, NaN and infinities among the floats, lists of floats alone,
-# and arrays of 0 to 3 dimensions, nested in lists and in dicts whose keys
-# are mostly strings; keys of mixed types cannot be sorted
-_JSON_LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.floats(),
-    st.floats().map(np.float64),
-    st.text(),
-    st.lists(st.floats(), max_size=5),
-    hnp.arrays(
-        st.sampled_from([np.float64, np.int64, np.bool_]),
-        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
-    ),
-)
-_JSON_PAYLOADS = st.recursive(
-    _JSON_LEAVES,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(), children, max_size=4)
-    | st.dictionaries(
-        st.one_of(st.none(), st.booleans(), st.integers(), st.floats()), children, max_size=2
-    ),
-    max_leaves=20,
-)
-
-
-@pytest.mark.properties
-@settings(max_examples=300, deadline=None)
-@given(payload=_JSON_PAYLOADS)
-def test_json_writer_matches_json_dump(tmp_path_factory, payload):
-    folder = tmp_path_factory.mktemp("json")
-    try:
-        with open(folder / "dumped.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
-            fh.write("\n")
-    except TypeError:
-        with pytest.raises(TypeError):
-            cli._write_json(folder / "written.json", payload)
-        return
-    cli._write_json(folder / "written.json", payload)
-    assert (folder / "written.json").read_bytes() == (folder / "dumped.json").read_bytes()
 
 
 class TestEmitPlotData:

@@ -33,6 +33,7 @@ from povmcal.stats import bootstrap
 
 from oracles import (
     exact_count_problem,
+    former_bins,
     former_diagonal_rows,
     former_newton_direction,
     projective_povm,
@@ -371,6 +372,31 @@ def test_tight_diagonal_solve_reaches_the_pseudo_inverse_fallback(monkeypatch):
     assert tight.ll_gap <= 1e-6
 
 
+def test_solve_returns_the_iterate_with_the_smallest_gap(monkeypatch):
+    # past the certificate's float64 floor the gap of a later iterate can be
+    # larger (here 3.9e-7 at iteration 10, then 1.6e-4 and 3e-5); the result
+    # is the best-certified iterate, and the trace stays whole
+    gaps = []
+    ll_gap = recon_ml.DiagonalMlProblem.ll_gap
+
+    def recorded(self, theta, grad):
+        gaps.append(ll_gap(self, theta, grad))
+        return gaps[-1]
+
+    monkeypatch.setattr(recon_ml.DiagonalMlProblem, "ll_gap", recorded)
+    problem = small_diagonal_problem()
+    result = maximize(problem, gap_tol=0.0, min_ll_increase=1e-12, max_iters=20000)
+    assert len(gaps) == len(result.ll_trace) == result.iterations + 1
+    assert result.ll_gap == min(gaps)
+    best = len(gaps) - 1 - gaps[::-1].index(min(gaps))
+    assert result.final_log_likelihood == result.ll_trace[best]
+    monkeypatch.undo()
+    point = problem.from_povm(result.povm_hat)
+    ll, grad = problem.evaluate(point)
+    assert ll == result.final_log_likelihood
+    assert problem.ll_gap(point, grad) == result.ll_gap
+
+
 def test_outcome_rows_match_label_lookup_with_gaps():
     labels = np.array([7, 0, 3, 7, 12, 0, 3, 3, 12])
     outcomes, rows = _outcome_rows(labels)
@@ -399,8 +425,8 @@ def test_diagonal_rows_match_former_temporaries(eta_h):
     )
     assert problem.outcomes == outcomes == (2, 5, 9, 17, 40, 41)
     assert record.size == len(data) - 20
-    assert problem.rows.flags.c_contiguous
-    np.testing.assert_array_equal(problem.rows, rows)
+    assert problem.columns.flags.c_contiguous
+    np.testing.assert_array_equal(problem.columns, rows.T)
     np.testing.assert_array_equal(problem.row_outcome, row_outcome)
     np.testing.assert_array_equal(problem.record, record)
     np.testing.assert_array_equal(problem.row_bin, np.round(64.0 * data.result[record]))
@@ -432,7 +458,7 @@ class TestResample:
         resampled = problem.resample(indices)
         rebuilt = build_problem_diagonal(subset(data, indices), state, HQ, fock_cutoff=14)
         assert resampled.outcomes == rebuilt.outcomes == problem.outcomes
-        assert len(resampled.rows) == np.count_nonzero(counts)
+        assert resampled.columns.shape[1] == np.count_nonzero(counts)
         rng = np.random.default_rng(22)
         for theta in (resampled.initial(), rng.random((problem.n_outcomes, problem.dim))):
             theta = theta / theta.sum(axis=0)
@@ -459,8 +485,8 @@ class TestResample:
         )
         # unit draw counts give back the point problem's own rows
         whole = problem.resample(np.arange(len(data)))
-        assert whole.responses is whole.rows
-        np.testing.assert_array_equal(whole.rows, problem.rows)
+        assert whole.responses.base is whole.columns
+        np.testing.assert_array_equal(whole.columns, problem.columns)
         np.testing.assert_array_equal(whole.outcome_index, problem.outcome_index)
 
     def test_unit_weight_sweep_is_bit_identical_to_plain_sweep(self):
@@ -470,14 +496,33 @@ class TestResample:
         ll, grad = problem.evaluate(theta)
         expected_ll, expected_grad = 0.0, np.zeros_like(theta)
         for r in range(problem.n_outcomes):
-            block = problem.rows[problem.row_outcome == r]
-            if block.shape[0]:
-                denom = np.maximum(block @ theta[r], 1e-300)
+            # the outcome's range of columns, a view with the table's strides
+            mine = np.flatnonzero(problem.row_outcome == r)
+            if mine.size:
+                block = problem.columns[:, mine[0] : mine[-1] + 1]
+                denom = np.maximum(theta[r] @ block, 1e-300)
                 expected_ll += float(np.log(denom).sum())
-                expected_grad[r] = block.T @ (1.0 / denom)
+                expected_grad[r] = block @ (1.0 / denom)
         assert ll == expected_ll
         np.testing.assert_array_equal(grad, expected_grad)
         np.testing.assert_array_equal(problem.gradient(theta), grad)
+
+    @pytest.mark.parametrize("draw", [None, 25])
+    def test_bins_match_the_row_major_reduction(self, draw):
+        # the per-level sums read the contiguous columns[m] in the order the
+        # strided column of the row-major table had, so every bit is kept
+        problem, data, _ = self.diagonal()
+        if draw is not None:
+            problem = problem.resample(_resample_counts(data, draw)[0])
+            assert problem.multiplicity.max() > 1.0
+        bins, former = problem.bins(), former_bins(problem)
+        assert len(bins) == len(former) == problem.n_outcomes
+        for (means, root_count), (former_means, former_root_count) in zip(bins, former):
+            np.testing.assert_array_equal(means, former_means)
+            np.testing.assert_array_equal(root_count, former_root_count)
+        theta = problem.initial() + problem.live[:, None]
+        theta /= theta.sum(axis=0)
+        np.testing.assert_array_equal(problem.hessian(theta, bins), problem.hessian(theta, former))
 
     def test_finite_draw_has_the_multinomial_law(self):
         # drawing N records with replacement fills the cells multinomially
@@ -505,7 +550,7 @@ class TestResample:
         drawn = problem.draw(np.random.default_rng(28))
         resampled = problem.resample(np.random.default_rng(28).integers(0, len(data), len(data)))
         assert drawn.n_records == resampled.n_records == len(data)
-        for name in ("rows", "row_outcome", "multiplicity", "record"):
+        for name in ("columns", "row_outcome", "multiplicity", "record"):
             np.testing.assert_array_equal(getattr(drawn, name), getattr(resampled, name))
 
     @pytest.mark.parametrize("draw", ["whole", "lower_half"])
@@ -523,7 +568,7 @@ class TestResample:
         np.testing.assert_array_equal(resampled.multiplicity, multiplicity[drawn])
         np.testing.assert_array_equal(resampled.record, problem.record[drawn])
         np.testing.assert_array_equal(resampled.row_outcome, problem.row_outcome[drawn])
-        np.testing.assert_array_equal(resampled.rows, problem.rows[drawn])
+        np.testing.assert_array_equal(resampled.columns, problem.columns[:, drawn])
 
     @pytest.mark.parametrize("kind", ["diagonal", "finite"])
     def test_missing_outcome_solves_to_zero(self, kind):
@@ -767,10 +812,10 @@ class TestInteriorPoint:
         kkt = np.zeros((size + dim, size + dim))
         rhs = np.zeros(size + dim)
         counts, sums = {}, {}
-        for i in range(len(problem.rows)):
+        for i in range(problem.columns.shape[1]):
             key = (problem.row_outcome[i], problem.row_bin[i])
             counts[key] = counts.get(key, 0.0) + problem.multiplicity[i]
-            sums[key] = sums.get(key, 0.0) + problem.multiplicity[i] * problem.rows[i]
+            sums[key] = sums.get(key, 0.0) + problem.multiplicity[i] * problem.columns[:, i]
         for n, row in enumerate(np.flatnonzero(live)):
             span = slice(row * dim, (row + 1) * dim)
             kkt[span, span] = np.diag(z[n] / theta[row])
@@ -828,9 +873,9 @@ class TestInteriorPoint:
 
     def test_cold_start_keeps_a_column_with_a_zero_live_entry_uniform(self):
         problem = small_diagonal_problem()
-        rows = problem.rows.copy()
-        rows[problem.row_outcome == 2, 3] = 0.0
-        zeroed = dataclasses.replace(problem, rows=rows)
+        columns = problem.columns.copy()
+        columns[3, problem.row_outcome == 2] = 0.0
+        zeroed = dataclasses.replace(problem, columns=columns)
         start = _em_start(zeroed)
         np.testing.assert_array_equal(start[:, 3], zeroed.initial()[:, 3])
         assert not np.array_equal(start[:, 2], zeroed.initial()[:, 2])
