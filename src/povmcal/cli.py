@@ -281,46 +281,43 @@ class _Fit:
     outcomes: tuple[int, ...]
     values: np.ndarray
     stderr: np.ndarray
-    catch_all: int | None
     checks: dict
     report: dict
     ml_result: dict | None = None
 
 
-def _zscore(abs_error: float, stderr: float | None, exact: bool) -> float:
+def _zscore(abs_error: float, stderr: float, exact: bool) -> float:
     if exact:
         return abs_error / EXACT_TOLERANCE
-    if stderr is None or stderr <= 0.0:
+    if stderr <= 0.0:
         return 0.0 if abs_error == 0.0 else float("inf")
     return abs_error / stderr
 
 
 def _rows(fit: _Fit, truth: np.ndarray, exact: bool) -> tuple[tuple[str, ...], list[dict]]:
-    """The CSV columns and the entry rows of every outcome and index; the
-    theory cells and z come only with an outcome whose truth is known."""
+    """The CSV columns and the entry rows, with their theory cells and z,
+    of every outcome and index."""
     complex_values = np.iscomplexobj(fit.values)
     columns, n_parts = _COLUMNS[complex_values], 2 if complex_values else 1
     indices = list(itertools.product(*map(range, fit.values.shape[1:])))
     rows = []
     for n, values, stderr in zip(fit.outcomes, fit.values, fit.stderr):
-        compared = n != fit.catch_all and n < len(truth)
-        theories = truth[n].ravel().tolist() if compared else itertools.repeat(None)
         for index, value, sigma, theory in zip(
-            indices, values.ravel().tolist(), stderr.ravel().tolist(), theories
+            indices, values.ravel().tolist(), stderr.ravel().tolist(), truth[n].ravel().tolist()
         ):
             # a real entry has one value part and so takes only the real part
-            cells = (int(n), *index, *(value.real, value.imag)[:n_parts], sigma)
-            if compared:
-                cells += (theory.real, theory.imag)[:n_parts]
+            cells = (
+                int(n), *index, *(value.real, value.imag)[:n_parts], sigma,
+                *(theory.real, theory.imag)[:n_parts],
+            )
             row = dict(zip(columns, cells))
-            if compared:
-                row["z"] = _zscore(abs(complex(value) - complex(theory)), sigma, exact)
+            row["z"] = _zscore(abs(complex(value) - complex(theory)), sigma, exact)
             rows.append(row)
     return columns, rows
 
 
 def _coverage(entries) -> dict:
-    zs = [e["z"] for e in entries if "z" in e and e["z"] is not None]
+    zs = [e["z"] for e in entries]
     if not zs:
         return {"n_compared": 0}
     zs = np.asarray(zs)
@@ -420,6 +417,7 @@ def run(config: ScenarioConfig, output_dir: str | Path | None = None) -> RunRepo
         reconstructions[label] = {
             "estimator": label,
             "outcomes": [int(n) for n in fit.outcomes],
+            "unobserved_outcomes": sorted(set(range(len(povm))) - set(fit.outcomes)),
             **fit.report,
             "entries": entries,
             "coverage": coverage,
@@ -484,12 +482,11 @@ def _fit_averaging(config, data, state, povm, quorum_obj, map_r, noise) -> _Fit:
         )
     estimate = recon_avg.recover_povm(estimates, map_r)
     report.update(
-        unobserved_outcomes=sorted(set(range(len(povm))) - set(estimate.outcomes)),
         p_hat=estimate.p_hat.tolist(),
         completeness_deviation=estimate.completeness_deviation,
         min_eigenvalue=estimate.min_eigenvalue,
     )
-    return _Fit(estimate.outcomes, estimate.values, estimate.stderr, None, checks, report)
+    return _Fit(estimate.outcomes, estimate.values, estimate.stderr, checks, report)
 
 
 def _fit_ml(config, data, state, quorum_obj) -> _Fit:
@@ -546,7 +543,6 @@ def _fit_ml(config, data, state, quorum_obj) -> _Fit:
         "min_eigenvalue": result.min_eigenvalue,
     }
     report = {
-        "catch_all_outcome": int(problem.outcomes[-1]),
         **solve,
         "monotone": monotone,
         "bootstrap": {
@@ -562,7 +558,7 @@ def _fit_ml(config, data, state, quorum_obj) -> _Fit:
         ml_result["povm"] = [
             {"real": np.real(p), "imag": np.imag(p)} for p in result.povm_hat.elements
         ]
-    return _Fit(problem.outcomes, values, boot.stdev, problem.outcomes[-1], checks, report, ml_result)
+    return _Fit(problem.outcomes, values, boot.stdev, checks, report, ml_result)
 
 
 # --- artifact writers --------------------------------------------------------
@@ -583,18 +579,12 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.17g}"
-
-
 def _write_csv(path, header, keys, rows) -> None:
-    """One line per row of its ``keys`` cells (empty where a row has none) under ``header``."""
+    """One line per row of its ``keys`` cells, in %.17g, under ``header``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([_fmt(row.get(key)) for key in keys] for row in rows)
+        writer.writerows([f"{row[key]:.17g}" for key in keys] for row in rows)
 
 
 def write_dataset_csv(data: sampler.Dataset, path) -> None:

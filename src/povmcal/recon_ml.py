@@ -6,8 +6,8 @@ The likelihood of a candidate POVM given the joint records is
 
 maximized under P_n >= 0 and sum_n P_n = I.  The problem is concave, and in
 the number-diagonal case strictly so on the outcomes with records, so the
-optimum does not depend on the starting point.  A proposal that loses
-likelihood ends the ascent uncertified, so the recorded likelihood trace
+optimum does not depend on the starting point.  An ascent that finds no
+step gaining likelihood ends uncertified, so the recorded likelihood trace
 stays monotone.
 
 The ascent stops on a certificate rather than on a stalled likelihood.
@@ -43,10 +43,11 @@ Lagrange operator enforcing completeness.  Multiplicative updates move
 slowly along near-zero eigen-directions, so each iteration then tries a
 projected Newton step (Bertsekas, SIAM J. Control Optim. 20, 221, 1982)
 from the EM proposal, in the real Hermitian coordinates of the elements,
-and keeps the proposal when no Newton candidate beats it.  Probabilities
-are linear in the coordinates, so the Hessian is exact and
-block-diagonal; eigen-directions pinned at zero by positivity are held
-out of the step, and completeness enters through one Lagrange solve
+and keeps the proposal when no Newton candidate beats it; a proposal that
+loses likelihood gives way to the Newton candidate from the current point.
+Probabilities are linear in the coordinates, so the Hessian is exact and
+block-diagonal; eigen-directions pinned at zero by positivity are held out
+of the step, and completeness enters through one Lagrange solve
 (:func:`_lagrange_newton`), the one the interior-point step uses too.  The
 step leaves the fixed point, the certificate and the stopping rule
 unchanged.
@@ -121,7 +122,7 @@ class DiagonalMlProblem:
     columns: np.ndarray  # (M+1, R) nonnegative, grouped by outcome, then bin
     row_outcome: np.ndarray  # (R,) nondecreasing row of theta per column
     row_bin: np.ndarray  # (R,) quadrature bin per column, nondecreasing per outcome
-    outcomes: tuple[int, ...]  # outcome labels, catch-all last
+    outcomes: tuple[int, ...]  # observed outcome labels, ascending
     dim: int  # M+1
     multiplicity: np.ndarray  # (R,) records each column stands for
     record: np.ndarray  # (R,) dataset index of each column's record
@@ -135,7 +136,8 @@ class DiagonalMlProblem:
             (self.columns[:, lo:hi], self.multiplicity[lo:hi])
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
-        # outcomes with records; the rest, the catch-all among them, solve to 0
+        # outcomes with records; the rest (an outcome a resample missed, or
+        # whose every record underflowed) solve to 0
         self.live = np.diff(bounds) > 0
 
     def bins(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -479,10 +481,10 @@ def _hermitian_basis(dim: int) -> np.ndarray:
 
 
 def _outcome_rows(outcome_n: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """Observed outcome labels plus one catch-all label above them, and the
-    row of each record's outcome among those labels."""
+    """Observed outcome labels, ascending, and the row of each record's
+    outcome among them."""
     observed, order, bounds = group_by_label(outcome_n)
-    outcomes = tuple(int(n) for n in observed) + (int(observed[-1]) + 1,)
+    outcomes = tuple(int(n) for n in observed)
     rows = np.empty(outcome_n.size, dtype=np.intp)
     rows[order] = np.repeat(np.arange(observed.size), np.diff(bounds))
     return outcomes, rows
@@ -501,8 +503,7 @@ def build_problem_diagonal(
     state's own cutoff; the pair-weight tail above it must stay below
     ``weight_tail_tol`` or the likelihood model would miss real records
     (the cutoff bias the method is known for).
-    The outcome set is the observed outcomes plus one catch-all row that
-    absorbs the completeness remainder.
+    The outcome set is the observed outcomes.
     """
     if data.kind != "homodyne":
         raise UnsupportedStructureError("diagonal problem requires homodyne data")
@@ -590,9 +591,9 @@ def maximize(
 
     Every accepted iterate satisfies completeness to 1e-6 and positivity
     to -1e-8, and the recorded trace is nondecreasing (1e-12 slack).  The
-    ascent gives up uncertified when its step loses more than that slack,
-    when an iteration gains less than ``min_ll_increase`` or after
-    ``max_iters`` iterations; ``converged`` is true only when the
+    ascent gives up uncertified when every step it tries loses more than
+    that slack, when an iteration gains less than ``min_ll_increase`` or
+    after ``max_iters`` iterations; ``converged`` is true only when the
     certificate holds.
 
     The result is the iterate with the smallest certified gap, the latest
@@ -615,7 +616,9 @@ def maximize(
     A finite problem takes one step per iteration (:func:`_em_step`): the
     multiplicative (EM) proposal, then a projected Newton candidate on the
     active face built from it (:func:`_newton_point`), taken only when it
-    beats the proposal, so the trace stays monotone.  Both meet the
+    beats the proposal, so the trace stays monotone.  A proposal that loses
+    likelihood gives way to the Newton candidate from the current point,
+    and the ascent gives up only when that loses too.  Both meet the
     constraints exactly, and the Newton candidate certifies in a handful of
     iterations.
     """
@@ -792,17 +795,18 @@ def _to_boundary(v: np.ndarray, dv: np.ndarray, fraction: float) -> float:
 
 
 def _em_step(problem, current, ll, grad):
-    """One finite ascent step from ``current`` as (point, ll, grad), or None
-    when the multiplicative update loses likelihood.
+    """One finite ascent step from ``current`` as (point, ll, grad), or None.
 
     The step takes the multiplicative (EM) proposal, then the Newton
     candidate that :func:`_newton_point` builds from it when that beats the
-    proposal, else the proposal itself.
+    proposal, else the proposal itself.  When the proposal loses
+    likelihood, the step is the Newton candidate built from ``current``
+    instead, and None when that does not beat ``current`` either.
     """
     proposal = problem.em_update(current, grad)
     ll_new, grad_new = problem.evaluate(proposal)
     if ll_new < ll - MONOTONE_SLACK:
-        return None
+        return _newton_point(problem, current, ll, grad)
     newton = _newton_point(problem, proposal, ll_new, grad_new)
     if newton is not None:
         return newton
@@ -810,7 +814,7 @@ def _em_step(problem, current, ll, grad):
 
 
 def _newton_point(problem, proposal, ll_proposal, grad_proposal):
-    """Newton candidate from the EM proposal ``proposal``.
+    """Newton candidate from the point ``proposal``.
 
     Tries em_update(project(proposal + t delta)) for t in ``NEWTON_STEPS``,
     delta the problem's Newton direction, and returns the first that beats

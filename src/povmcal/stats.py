@@ -39,7 +39,8 @@ def bootstrap(
     problem's dataset record indices, which resample whole records
     (n, k, result) jointly.  The report therefore depends only on the
     estimator and ``seed``.  A complex entry's real and imaginary spreads
-    add in quadrature, into a real ``stdev`` of the estimate's shape.
+    add in quadrature, into a real ``stdev`` of the estimate's shape, the
+    sample deviation over the repetitions that succeeded.
     Repetitions that fail with a toolkit error or a linear-algebra error
     are skipped; more than ``MAX_FAILURE_FRACTION`` of them failing aborts
     the report.  Any other exception is a bug and propagates.
@@ -58,20 +59,11 @@ def bootstrap(
         raise BootstrapError(
             f"{failures}/{n_reps} bootstrap repetitions failed"
         )
+    # at least 2 results survive: failures <= 0.2 n_reps and n_reps >= 2
     stacked = np.stack(results)
-    # entries may be NaN where an estimator has no value for an outcome a
-    # resample missed; reduce over the valid repetitions only
-    valid = ~np.isnan(stacked)
-    count = valid.sum(axis=0)
-    filled = np.where(valid, stacked, 0.0)
-    mean = np.where(count > 0, filled.sum(axis=0) / np.maximum(count, 1), np.nan)
-    dev = np.where(valid, stacked - mean, 0.0)
-    var = np.divide(
-        (dev.real**2 + dev.imag**2).sum(axis=0),
-        np.maximum(count - 1, 1),
-        out=np.full(count.shape, np.nan),
-        where=count > 1,
-    )
+    mean = stacked.sum(axis=0) / len(results)
+    dev = stacked - mean
+    var = (dev.real**2 + dev.imag**2).sum(axis=0) / (len(results) - 1)
     return BootstrapReport(
         n_repetitions=n_reps,
         seed=int(seed),

@@ -255,9 +255,8 @@ def noise_apply(noise, x):
 
 def exact_count_problem(state, povm, quorum, n_records):
     """The finite ML problem of ``n_records`` records whose cell counts are
-    their expected values N p(n, k, m), with the setting k uniform, plus a
-    catch-all outcome with no counts.  By Gibbs' inequality the true POVM,
-    padded with a zero catch-all element, maximizes its likelihood.
+    their expected values N p(n, k, m), with the setting k uniform.  By
+    Gibbs' inequality the true POVM maximizes its likelihood.
 
     Each effect T_km = Tr_2[(1 (x) |b^k_m><b^k_m|) R] is a partial trace of
     an explicit tensor product.
@@ -269,9 +268,8 @@ def exact_count_problem(state, povm, quorum, n_records):
             x = tensor_product(np.eye(ds), np.outer(v, v.conj())) @ state.rho
             effects[k, m] = np.einsum("apbp->ab", x.reshape(ds, dt, ds, dt))
     tables = sampler.joint_probability_tables(state, povm, quorum)  # (n, k, m)
-    counts = np.zeros((len(povm) + 1, quorum.n_settings, dt))
-    counts[:-1] = n_records * tables / quorum.n_settings
-    return recon_ml.FiniteMlProblem(effects, counts, tuple(range(len(povm) + 1)), ds)
+    counts = n_records * tables / quorum.n_settings
+    return recon_ml.FiniteMlProblem(effects, counts, tuple(range(len(povm))), ds)
 
 
 def subset(data, indices):
@@ -481,7 +479,7 @@ def former_diagonal_rows(data, weights, eta_h):
     responses = (q * weights[:, None]).T
     record = np.flatnonzero(responses.sum(axis=1) > 0.0)
     observed = np.unique(data.outcome_n)
-    outcomes = tuple(int(n) for n in observed) + (int(observed.max()) + 1,)
+    outcomes = tuple(int(n) for n in observed)
     rows = np.searchsorted(observed, data.outcome_n)
     bins = np.round(data.result * 64.0)
     record = sorted(record, key=lambda i: (rows[i], bins[i], i))
@@ -603,8 +601,8 @@ def former_zscore(abs_error, stderr, exact):
 
 
 def former_entries(fit, truth, display, exact):
-    """``cli._entries``: entry rows of ``fit`` (outcomes, values, stderr,
-    catch_all), with ``display`` only outcomes and indices up to it."""
+    """``cli._entries``: entry rows of ``fit`` (outcomes, values, stderr),
+    with ``display`` only outcomes and indices up to it."""
     keys, suffixes = former_layout(np.iscomplexobj(fit.values))
     value_keys = ["value" + s for s in suffixes]
     theory_keys = ["theory" + s for s in suffixes]
@@ -617,7 +615,7 @@ def former_entries(fit, truth, display, exact):
     for n, values, stderr in zip(fit.outcomes, fit.values, fit.stderr):
         if display is not None and n > display:
             continue
-        compared = n != fit.catch_all and n < len(truth)
+        compared = n < len(truth)
         theories = truth[n][window].ravel().tolist() if compared else itertools.repeat(None)
         for index, value, sigma, theory in zip(
             indices, values[window].ravel().tolist(), stderr[window].ravel().tolist(), theories

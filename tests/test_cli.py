@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -41,6 +42,15 @@ def small_sampled_config(**overrides):
     cfg["n_records"] = 4000
     cfg["bootstrap_reps"] = 8
     cfg.update(overrides)
+    return ScenarioConfig.from_dict(cfg)
+
+
+def small_homodyne_both_config():
+    """fig4's photocounter on a weaker twin beam, fitted both ways."""
+    cfg = scenario_config("fig4")
+    cfg.update(n_records=20_000, strategy="both", bootstrap_reps=2)
+    cfg["state"].update(xi=0.6, fock_cutoff=20)
+    cfg["ml"]["fock_cutoff"] = 14
     return ScenarioConfig.from_dict(cfg)
 
 
@@ -192,8 +202,7 @@ class TestRun:
         assert set(report.reconstructions) == {"averaging", "ml"}
         for recon in report.reconstructions.values():
             for entry in recon["entries"]:
-                if "theory_re" in entry:
-                    assert "z" in entry
+                assert "theory_re" in entry and "z" in entry
         assert (tmp_path / "averaging_reconstruction.csv").exists()
         assert (tmp_path / "ml_reconstruction.csv").exists()
         ml = report.reconstructions["ml"]
@@ -316,11 +325,7 @@ class TestRun:
             ).read_bytes()
 
     def test_homodyne_both_strategies(self, tmp_path):
-        cfg = scenario_config("fig4")
-        cfg.update(n_records=20_000, strategy="both", bootstrap_reps=2)
-        cfg["state"].update(xi=0.6, fock_cutoff=20)
-        cfg["ml"]["fock_cutoff"] = 14
-        report = run(ScenarioConfig.from_dict(cfg), tmp_path)
+        report = run(small_homodyne_both_config(), tmp_path)
         assert set(report.reconstructions) == {"averaging", "ml"}
         for check in ("clipping_ok", "ml_monotone", "ml_constraints", "ml_certified",
                       "bootstrap_failures_ok"):
@@ -330,6 +335,25 @@ class TestRun:
             assert header == "n,m,value,stderr,theory"
             assert (tmp_path / "plots" / f"{label}_k0.csv").exists()
             assert (tmp_path / "plots" / f"{label}_k7.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config, unobserved",
+        [(small_homodyne_both_config, True), (small_sampled_config, False)],
+        ids=["homodyne", "finite"],
+    )
+    def test_both_estimators_fit_the_observed_outcomes(self, tmp_path, config, unobserved):
+        # ML fits the observed outcomes, as averaging does, so each of its
+        # rows is compared with the truth; the photocounter leaves its high
+        # counts without records
+        report = run(config(), tmp_path)
+        averaging, ml = report.reconstructions["averaging"], report.reconstructions["ml"]
+        assert ml["outcomes"] == averaging["outcomes"]
+        assert ml["unobserved_outcomes"] == averaging["unobserved_outcomes"]
+        assert bool(ml["unobserved_outcomes"]) == unobserved
+        assert "catch_all_outcome" not in ml
+        assert all("z" in entry for entry in ml["entries"])
+        with open(tmp_path / "ml_reconstruction.csv", newline="") as fh:
+            assert all(all(row.values()) for row in csv.DictReader(fh))
 
     def test_finite_repetitions_start_at_the_point_estimate(self, tmp_path, monkeypatch):
         solves = record_solves(monkeypatch)
@@ -364,11 +388,8 @@ class TestRun:
         def column(report, key):
             return np.array([e[key] for e in report.reconstructions["ml"]["entries"]])
 
-        spread = column(tight, "stderr") > 0.0
-        assert spread.sum() == 4 * 9  # all but the entries of the catch-all, which has no records
-        np.testing.assert_allclose(
-            column(warm, "stderr")[spread], column(tight, "stderr")[spread], rtol=1e-3
-        )
+        assert (column(tight, "stderr") > 0.0).sum() == 4 * 9  # every entry spreads
+        np.testing.assert_allclose(column(warm, "stderr"), column(tight, "stderr"), rtol=1e-3)
         for key in ("value_re", "value_im"):
             assert column(warm, key).tobytes() == column(cold, key).tobytes()
         for name in ("ml_result.json", "averaging_reconstruction.csv"):

@@ -132,13 +132,13 @@ class TestMaximizeFinite:
     @pytest.mark.parametrize("n_records", [1e5, 1e7])
     @pytest.mark.parametrize("name", ["qubit-oracle", "qutrit-oracle"])
     def test_exact_counts_certify_at_the_truth(self, name, n_records):
-        """On the expected counts N p(n, k, m) the true POVM, with a zero
-        catch-all element, is the global maximizer (Gibbs' inequality), so a
-        converged solve must be certified there: within 1e-8 of the truth,
-        and short of its likelihood by no more than the certified gap."""
+        """On the expected counts N p(n, k, m) the true POVM is the global
+        maximizer (Gibbs' inequality), so a converged solve must be
+        certified there: within 1e-8 of the truth, and short of its
+        likelihood by no more than the certified gap."""
         state, povm, quorum = oracle_pair(name)
         problem = exact_count_problem(state, povm, quorum, n_records)
-        truth = np.concatenate([np.stack(povm.elements), np.zeros((1,) + povm[0].shape)])
+        truth = np.stack(povm.elements)
         result = maximize(problem)
         assert result.converged
         assert np.abs(problem.from_povm(result.povm_hat) - truth).max() <= 1e-8
@@ -214,7 +214,7 @@ class TestMaximizeFinite:
 
         stderr = bootstrap(rerun, n_reps=20, seed=4).stdev
         assert stderr.shape == (len(problem.outcomes), 2, 2)
-        for idx, n in enumerate(problem.outcomes[:-1]):  # last row is the catch-all
+        for idx, n in enumerate(problem.outcomes):
             err = np.abs(point[n] - povm[n])
             assert np.all(err <= 5 * stderr[idx] + 1e-12), (n, err, stderr[idx])
 
@@ -233,7 +233,7 @@ class TestMaximizeDiagonal:
         truth = povm.diagonal()
         # coarse accuracy check at this sample size; the acceptance suite
         # runs the full-scale version with bootstrap error bars
-        for idx, n in enumerate(problem.outcomes[:-1]):
+        for idx, n in enumerate(problem.outcomes):
             if n > 4:
                 continue
             err = np.abs(theta[idx, :5] - truth[n, :5])
@@ -244,9 +244,11 @@ class TestMaximizeDiagonal:
         povm = noisy_photocounter(0.9, 0.5, fock_cutoff=20, env_cutoff=30)
         data = sample_homodyne_twinbeam(state, povm, HQ, 5_000, seed=6)
         problem = build_problem_diagonal(data, state, HQ, fock_cutoff=12, weight_tail_tol=1.0)
-        assert not problem.live[-1]
+        # a resample that misses outcome 1 leaves it without records
+        problem = problem.resample(np.flatnonzero(data.outcome_n != problem.outcomes[1]))
+        assert problem.live.tolist() == [True, False] + [True] * (problem.n_outcomes - 2)
         for k in range(1, 13):
-            result = maximize(problem, max_iters=k, gap_tol=0.0)
+            result = maximize(problem, max_iters=k, min_ll_increase=-np.inf, gap_tol=0.0)
             assert result.iterations == k
             theta = result.povm_hat.diagonal()
             completeness, min_entry = problem.constraint_violation(theta)
@@ -400,7 +402,7 @@ def test_solve_returns_the_iterate_with_the_smallest_gap(monkeypatch):
 def test_outcome_rows_match_label_lookup_with_gaps():
     labels = np.array([7, 0, 3, 7, 12, 0, 3, 3, 12])
     outcomes, rows = _outcome_rows(labels)
-    assert outcomes == (0, 3, 7, 12, 13)
+    assert outcomes == (0, 3, 7, 12)
     index_of = {n: r for r, n in enumerate(outcomes)}
     np.testing.assert_array_equal(rows, [index_of[int(n)] for n in labels])
 
@@ -423,7 +425,7 @@ def test_diagonal_rows_match_former_temporaries(eta_h):
     outcomes, rows, row_outcome, record = former_diagonal_rows(
         data, state.diagonal_weights()[:37], eta_h
     )
-    assert problem.outcomes == outcomes == (2, 5, 9, 17, 40, 41)
+    assert problem.outcomes == outcomes == (2, 5, 9, 17, 40)
     assert record.size == len(data) - 20
     assert problem.columns.flags.c_contiguous
     np.testing.assert_array_equal(problem.columns, rows.T)
@@ -576,9 +578,7 @@ class TestResample:
             problem, data, _ = self.diagonal()
         else:
             problem, _, data, *_ = make_finite_problem(n_records=5_000, seed=8)
-        labels = np.asarray(problem.outcomes[:-1])
-        dropped = labels[1]
-        row = problem.outcomes.index(int(dropped))
+        row, dropped = 1, problem.outcomes[1]
         # every record drawn twice, except those of one outcome
         if kind == "diagonal":
             counts = np.where(data.outcome_n == dropped, 0, 2)
@@ -646,6 +646,9 @@ class TestNewtonCandidate:
         state, quorum = maximally_entangled(2), pauli_quorum()
         data = sample_finite(state, projective_povm(np.eye(2)), quorum, 5_000, seed=1)
         problem = build_problem_finite(data, state, quorum)
+        # a third outcome without records, as a resample that misses it leaves
+        counts = np.concatenate([problem.counts, np.zeros_like(problem.counts[:1])])
+        problem = dataclasses.replace(problem, counts=counts, outcomes=(0, 1, 2))
         point = problem.from_povm(maximize(problem).povm_hat)
         w, vectors = np.linalg.eigh(point[0])
         u, v = vectors[:, 0], vectors[:, 1]
@@ -748,6 +751,46 @@ class TestNewtonCandidate:
         assert result.completeness_deviation <= COMPLETENESS_TOL
         assert result.min_eigenvalue >= POSITIVITY_TOL
 
+    def test_lost_em_proposal_gives_way_to_the_newton_candidate(self, monkeypatch):
+        problem = small_finite_problem()
+        current = problem.from_povm(maximize(problem, max_iters=2).povm_hat)
+        ll, grad = problem.evaluate(current)
+        expected = _newton_point(problem, current, ll, grad)
+        # the proposal, the one update made with the current gradient, loses
+        em_update = problem.em_update
+        monkeypatch.setattr(
+            problem, "em_update", lambda x, g=None: em_update(x) if g is None else problem.initial()
+        )
+        assert problem.evaluate(problem.em_update(current, grad))[0] < ll
+        point, ll_new, _ = recon_ml._em_step(problem, current, ll, grad)
+        assert ll_new == expected[1] > ll
+        np.testing.assert_array_equal(point, expected[0])
+
+    @pytest.mark.parametrize(
+        "quorum_seed, detector_seed, noise, data_seed, rep",
+        [(2, 4, None, 1, 6), (5, 11, 0.1, 2024, 27)],
+        ids=["noiseless", "depolarized"],
+    )
+    def test_warm_repetition_certifies(self, quorum_seed, detector_seed, noise, data_seed, rep):
+        # qutrit-oracle physics, 1e5 records: bootstrap repetitions, started
+        # at the point estimate, on which the last bits of rounding decide
+        # whether an EM proposal loses likelihood; the Newton candidate from
+        # the current point still climbs there
+        cfg = scenario_config("qutrit-oracle")
+        state = build_state(cfg["state"])
+        quorum = build_quorum(dict(cfg["quorum"], seed=quorum_seed), state.dim_tomo)
+        povm = build_detector(dict(cfg["detector"], seed=detector_seed), state)
+        if noise is not None:
+            depolarizing = {"kind": "depolarizing", "p": noise}
+            state = apply_noise_tomo_side(state, build_noise(depolarizing, state.dim_tomo))
+        data = sample_finite(state, povm, quorum, 100_000, seed=data_seed)
+        problem = build_problem_finite(data, state, quorum)
+        point = maximize(problem)
+        repetition = problem.draw(np.random.default_rng([data_seed, 2, rep]))
+        result = maximize(repetition, init=point.povm_hat)
+        assert result.converged
+        assert np.all(np.diff(result.ll_trace) >= -MONOTONE_SLACK)
+
 
 def fig4_problem(seed):
     """The builtin fig4 scenario's diagonal ML problem at data seed ``seed``."""
@@ -780,17 +823,15 @@ def test_fig4_seed_3_repetition_0_certifies():
 class TestInteriorPoint:
     @staticmethod
     def problem_with_empty_outcome():
-        """A small diagonal problem in which outcome 1 and the catch-all
-        have no rows."""
+        """A small diagonal problem in which outcome 1 has no rows, as in a
+        resample that misses it."""
         state = twin_beam(0.6, 20)
         povm = noisy_photocounter(0.8, 1.0, fock_cutoff=20, env_cutoff=30)
         data = sample_homodyne_twinbeam(state, povm, HQ, 5_000, seed=3)
         problem = build_problem_diagonal(data, state, HQ, fock_cutoff=10)
         kept = np.flatnonzero(data.outcome_n != problem.outcomes[1])
         resampled = problem.resample(kept)
-        assert resampled.live.tolist() == [True, False] + [True] * (problem.n_outcomes - 3) + [
-            False
-        ]
+        assert resampled.live.tolist() == [True, False] + [True] * (problem.n_outcomes - 2)
         return resampled
 
     def test_block_step_matches_dense_kkt_solve(self):
@@ -881,12 +922,12 @@ class TestInteriorPoint:
         assert not np.array_equal(start[:, 2], zeroed.initial()[:, 2])
         assert maximize(zeroed).converged
 
-    @pytest.mark.parametrize("where", ["zero_on_live", "weight_on_catch_all"])
+    @pytest.mark.parametrize("where", ["zero_on_live", "weight_on_empty_outcome"])
     def test_init_off_the_interior_is_rejected(self, where):
-        problem = small_diagonal_problem()
+        problem = self.problem_with_empty_outcome()
         theta = problem.initial()
         if where == "zero_on_live":
-            theta[0, 3], theta[1, 3] = 0.0, theta[1, 3] + theta[0, 3]
+            theta[0, 3], theta[2, 3] = 0.0, theta[2, 3] + theta[0, 3]
         else:
             theta[:, 3] = 1.0 / problem.n_outcomes
         with pytest.raises(PovmInvariantError):

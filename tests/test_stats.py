@@ -91,18 +91,6 @@ class TestBootstrap:
         with pytest.raises(TypeError):
             bootstrap(buggy, n_reps=10, seed=6)
 
-    def test_nan_entries_are_ignored_per_entry(self):
-        calls = {"i": 0}
-
-        def sometimes_nan(rng):
-            calls["i"] += 1
-            v = float(calls["i"])
-            return np.array([v, np.nan if calls["i"] % 2 else v])
-
-        report = bootstrap(sometimes_nan, n_reps=10, seed=8)
-        assert np.isfinite(report.stdev[0])
-        assert np.isfinite(report.stdev[1])
-
     def test_needs_two_reps(self):
         with pytest.raises(ValueError):
             bootstrap(lambda rng: np.array([1.0]), n_reps=1, seed=0)
@@ -120,11 +108,9 @@ class TestBootstrap:
         np.testing.assert_array_equal(report.mean, np.mean(expected, axis=0))
 
     def test_real_report_is_the_former_float_report(self):
-        # a real estimate's moments keep their bits, NaN entries included
+        # a real estimate's moments keep their bits
         def estimate(rng):
-            values = rng.random((3, 4))
-            values[0, rng.integers(0, 4)] = np.nan
-            return values
+            return rng.random((3, 4))
 
         report = bootstrap(estimate, n_reps=12, seed=9)
         mean, stdev = former_bootstrap_moments(estimate, 12, 9)
